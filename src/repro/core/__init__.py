@@ -15,7 +15,7 @@ from .distance import (
 )
 from .dynamic import DynamicMatchDatabase
 from .engine import ENGINE_NAMES, MatchDatabase, validate_engine_name
-from .merge import merge_shard_stats, merge_top_k
+from .merge import answer_set_differences, merge_parts, merge_top_k
 from .mixed import CATEGORICAL, NUMERIC, MixedMatchDatabase, Schema
 from .advisor import (
     CostEstimate,
@@ -51,7 +51,8 @@ __all__ = [
     "ENGINE_NAMES",
     "validate_engine_name",
     "merge_top_k",
-    "merge_shard_stats",
+    "merge_parts",
+    "answer_set_differences",
     "MatchResult",
     "FrequentMatchResult",
     "SearchStats",

@@ -1,257 +1,12 @@
-"""Immutable LSM segments: one static block-AD database per sorted run.
+"""Immutable LSM segments: the sorted runs flushes and compactions write.
 
-A segment is the durable unit of the LSM store: a frozen ``(rows, pids)``
-pair with prebuilt sorted columns, written once at flush or compaction
-time and never modified.  Queries treat each segment exactly like
-:class:`~repro.core.dynamic.DynamicMatchDatabase` treats its base: ask
-the static :class:`~repro.core.ad_block.BlockADEngine` for enough
-answers to survive tombstone filtering, map answer-set row indices back
-to stable point ids, and compute the exact per-candidate match profiles
-— so the merged stream stays bit-identical to the naive oracle.
-
-``pids`` are sorted ascending.  Point ids are assigned monotonically at
-insert time and compaction merges whole segments, so sorting by pid is
-free at build time and buys ``searchsorted`` membership tests (tombstone
-counting, point lookup) at query time.
-
-On disk a segment is the same ``.npz``-with-JSON-header container as
-:mod:`repro.io`: raw rows, the pid array, and the prebuilt sorted
-columns (installed on load via
-:meth:`~repro.sorted_lists.SortedColumns.from_prebuilt`, no re-sort).
+A segment is the durable unit of the store: a frozen ``(rows, pids)``
+pair with prebuilt sorted columns, written once and never modified.
+The class lives in :mod:`repro.core.partitioned` — the dynamic store
+holds its base as the same in-memory segment — and is re-exported here
+under its storage-tier name.
 """
 
-from __future__ import annotations
-
-import json
-import os
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
-
-from ..core.ad_block import BlockADEngine
-from ..core.types import SearchStats
-from ..errors import StorageError
-from ..sorted_lists import SortedColumns
+from ..core.partitioned import SEGMENT_FORMAT_VERSION, SEGMENT_MAGIC, Segment
 
 __all__ = ["Segment", "SEGMENT_MAGIC", "SEGMENT_FORMAT_VERSION"]
-
-SEGMENT_MAGIC = "repro-lsm-segment"
-SEGMENT_FORMAT_VERSION = 1
-
-
-class Segment:
-    """One immutable sorted run: frozen rows, stable pids, lazy engine."""
-
-    def __init__(
-        self,
-        segment_id: int,
-        level: int,
-        rows: np.ndarray,
-        pids: np.ndarray,
-        columns: Optional[SortedColumns] = None,
-    ) -> None:
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        pids = np.ascontiguousarray(pids, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise StorageError(
-                f"segment rows must be a non-empty 2d array; got {rows.shape}"
-            )
-        if pids.shape != (rows.shape[0],):
-            raise StorageError(
-                f"segment pids shape {pids.shape} does not match "
-                f"{rows.shape[0]} rows"
-            )
-        if np.any(np.diff(pids) <= 0):
-            raise StorageError("segment pids must be strictly ascending")
-        self.segment_id = int(segment_id)
-        self.level = int(level)
-        self.rows = rows
-        self.pids = pids
-        self._columns = columns
-        self._engine: Optional[BlockADEngine] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def cardinality(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dimensionality(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def filename(self) -> str:
-        return f"seg-{self.segment_id:08d}.npz"
-
-    def contains_pid(self, pid: int) -> bool:
-        position = int(np.searchsorted(self.pids, pid))
-        return position < self.pids.shape[0] and int(self.pids[position]) == pid
-
-    def get_point(self, pid: int) -> Optional[np.ndarray]:
-        """The coordinates stored for ``pid``, or ``None`` if absent."""
-        position = int(np.searchsorted(self.pids, pid))
-        if position < self.pids.shape[0] and int(self.pids[position]) == pid:
-            return self.rows[position].copy()
-        return None
-
-    def dead_count(self, tombstones: set) -> int:
-        """How many of this segment's rows are tombstoned."""
-        if not tombstones:
-            return 0
-        if len(tombstones) < 16:
-            return sum(1 for pid in tombstones if self.contains_pid(pid))
-        mask = np.isin(self.pids, np.fromiter(tombstones, dtype=np.int64))
-        return int(mask.sum())
-
-    def _get_engine(self) -> BlockADEngine:
-        # The inner engine stays uninstrumented so logical query counters
-        # are not double-counted — the store's own spans time it.
-        if self._engine is None:
-            if self._columns is not None:
-                self._engine = BlockADEngine(self._columns)
-            else:
-                self._engine = BlockADEngine(self.rows)
-                self._columns = self._engine.columns
-        return self._engine
-
-    @property
-    def columns(self) -> SortedColumns:
-        self._get_engine()
-        return self._columns
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def collect_candidates(
-        self,
-        query: np.ndarray,
-        k: int,
-        n0: int,
-        n1: int,
-        tombstones: set,
-        per_n: Dict[int, List[Tuple[float, int]]],
-        stats: SearchStats,
-    ) -> SearchStats:
-        """Add this segment's exact candidates to the per-n streams.
-
-        Over-fetches by the number of *this segment's* tombstoned rows
-        (not the global tombstone count), so filtering can never starve
-        an n of its k survivors.
-        """
-        segment_k = min(self.cardinality, k + self.dead_count(tombstones))
-        if segment_k < 1:
-            return stats
-        result = self._get_engine().frequent_k_n_match(
-            query, segment_k, (n0, n1), keep_answer_sets=True
-        )
-        stats = stats.merge(result.stats)
-        profiles: Dict[int, np.ndarray] = {}
-        for n, row_indexes in result.answer_sets.items():
-            for row_index in row_indexes:
-                pid = int(self.pids[row_index])
-                if pid in tombstones:
-                    continue
-                if row_index not in profiles:
-                    profiles[row_index] = np.sort(
-                        np.abs(self.rows[row_index] - query)
-                    )
-                per_n[n].append((float(profiles[row_index][n - 1]), pid))
-        return stats
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save(self, directory: Union[str, os.PathLike]) -> str:
-        """Write the segment into ``directory``, fsync'd; returns the name.
-
-        The file is written to a temporary name and renamed into place,
-        so a crash mid-write leaves an orphan temp file (cleaned on
-        recovery), never a half-written segment under the real name.
-        """
-        directory = os.fspath(directory)
-        columns = self.columns
-        header = json.dumps(
-            {
-                "magic": SEGMENT_MAGIC,
-                "version": SEGMENT_FORMAT_VERSION,
-                "segment_id": self.segment_id,
-                "level": self.level,
-                "cardinality": self.cardinality,
-                "dimensionality": self.dimensionality,
-            }
-        )
-        final_path = os.path.join(directory, self.filename)
-        tmp_path = final_path + ".tmp"
-        with open(tmp_path, "wb") as handle:
-            np.savez(
-                handle,
-                header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                rows=self.rows,
-                pids=self.pids,
-                sorted_values=columns.values_matrix,
-                sorted_ids=columns.ids_matrix,
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, final_path)
-        return self.filename
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "Segment":
-        """Load a segment file, verifying header and shapes."""
-        path = os.fspath(path)
-        try:
-            archive = np.load(path)
-        except (OSError, ValueError) as error:
-            raise StorageError(
-                f"cannot read segment file {path!r}: {error}"
-            ) from error
-        try:
-            required = {"header", "rows", "pids", "sorted_values", "sorted_ids"}
-            missing = required - set(archive.files)
-            if missing:
-                raise StorageError(
-                    f"{path!r} is not a repro segment file "
-                    f"(missing {sorted(missing)})"
-                )
-            try:
-                header = json.loads(bytes(archive["header"]).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise StorageError(
-                    f"{path!r} has a corrupt segment header"
-                ) from error
-            if header.get("magic") != SEGMENT_MAGIC:
-                raise StorageError(f"{path!r} is not a repro segment file")
-            if header.get("version") != SEGMENT_FORMAT_VERSION:
-                raise StorageError(
-                    f"{path!r} uses segment format version "
-                    f"{header.get('version')}; this build reads version "
-                    f"{SEGMENT_FORMAT_VERSION}"
-                )
-            rows = np.ascontiguousarray(archive["rows"], dtype=np.float64)
-            pids = np.ascontiguousarray(archive["pids"], dtype=np.int64)
-            c = header.get("cardinality")
-            d = header.get("dimensionality")
-            if rows.shape != (c, d):
-                raise StorageError(
-                    f"{path!r}: rows shape {rows.shape} does not match "
-                    f"header ({c}, {d})"
-                )
-            values = np.ascontiguousarray(
-                archive["sorted_values"], dtype=np.float64
-            )
-            ids = np.ascontiguousarray(archive["sorted_ids"], dtype=np.int64)
-            if values.shape != (d, c) or ids.shape != (d, c):
-                raise StorageError(
-                    f"{path!r}: sorted-column shapes are inconsistent"
-                )
-            columns = SortedColumns.from_prebuilt(rows, values, ids)
-            return cls(
-                header.get("segment_id", 0),
-                header.get("level", 0),
-                rows,
-                pids,
-                columns=columns,
-            )
-        finally:
-            archive.close()

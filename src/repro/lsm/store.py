@@ -1,8 +1,9 @@
 """The durable LSM store: exact k-n-match over a crash-surviving point set.
 
-:class:`LsmMatchDatabase` grows the two-tier
-:class:`~repro.core.dynamic.DynamicMatchDatabase` (one base, one buffer,
-stop-the-world compaction) into a write-heavy, restart-surviving store:
+:class:`LsmMatchDatabase` keeps its live points as a
+:class:`~repro.core.partitioned.PartitionedStore` — a memtable, leveled
+immutable segments and a tombstone set — and adds durability and
+background maintenance around it:
 
 * a :class:`~repro.lsm.memtable.Memtable` absorbs inserts;
 * flushes freeze it into leveled immutable
@@ -18,12 +19,12 @@ stop-the-world compaction) into a write-heavy, restart-surviving store:
   single list swap under the store lock — readers are never blocked by
   the merge itself.
 
-**Exactness.**  Queries mirror the dynamic facade: each segment's
-static engine over-fetches enough to survive that segment's tombstones,
-candidates carry exact per-point match profiles, and all streams (one
-per segment plus the memtable) merge under the canonical
-``(difference, id)`` order — bit-identical to the naive oracle over the
-live set at every instant, mid-compaction and after recovery included.
+**Exactness.**  Queries run the shared partitioned body
+(:meth:`~repro.core.partitioned.PartitionedStore.k_n_match`): each
+segment over-fetches enough to survive its own tombstones, and every
+part's candidates merge per ``n`` in :mod:`repro.core.merge` —
+bit-identical to the naive oracle over the live set at every instant,
+mid-compaction and after recovery included.
 
 **Durability protocol.**  The directory holds ``MANIFEST.json`` (atomic
 tmp + rename + fsync), ``wal.log`` and ``segments/seg-*.npz``.  The
@@ -43,9 +44,8 @@ never alias pre-crash entries onto the recovered store.  Compaction
 does **not** bump the generation: it preserves the live set exactly, so
 every cached answer keyed at the current generation stays correct.
 
-Thread-safety matches the dynamic facade: one RLock serialises
-mutations and queries; compaction holds it only to snapshot its inputs
-and to swap in its output.
+Thread-safety: one RLock serialises mutations and queries; compaction
+holds it only to snapshot its inputs and to swap in its output.
 """
 
 from __future__ import annotations
@@ -59,13 +59,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import validation
-from ..core.types import (
-    FrequentMatchResult,
-    MatchResult,
-    SearchStats,
-    rank_by_frequency,
-)
-from ..errors import EmptyDatabaseError, StorageError, ValidationError
+from ..core.partitioned import PartitionedStore
+from ..errors import StorageError, ValidationError
 from ..storage.fault import FaultSchedule
 from .compactor import Compactor
 from .memtable import Memtable
@@ -82,8 +77,14 @@ _MANIFEST_MAGIC = "repro-lsm"
 _MANIFEST_VERSION = 1
 
 
-class LsmMatchDatabase:
-    """Exact k-n-match over a durable, mutable, leveled point set."""
+class LsmMatchDatabase(PartitionedStore):
+    """Exact k-n-match over a durable, mutable, leveled point set.
+
+    :attr:`generation` additionally survives crashes: no generation
+    observed after :meth:`recover` was ever observable before the crash.
+    """
+
+    label = "lsm"
 
     def __init__(
         self,
@@ -271,11 +272,6 @@ class LsmMatchDatabase:
         self._write_manifest()
         self._wal = WalWriter(self._wal_path, fault=self._fault)
 
-    def _pid_present(self, pid: int) -> bool:
-        if pid in self._memtable:
-            return True
-        return any(segment.contains_pid(pid) for segment in self._segments)
-
     # ------------------------------------------------------------------
     # manifest
     # ------------------------------------------------------------------
@@ -345,59 +341,9 @@ class LsmMatchDatabase:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def dimensionality(self) -> int:
-        return self._dimensionality
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter; strictly increases across crashes.
-
-        Same contract as the dynamic facade — the serve result cache
-        keys on it — plus the durable-reservation guarantee: no
-        generation observed after :meth:`recover` was ever observable
-        before the crash.
-        """
-        return self._generation
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    def set_metrics(self, registry) -> None:
-        """Install (or remove, with ``None``) a metrics registry."""
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    def set_spans(self, collector) -> None:
-        """Install (or remove, with ``None``) a span collector."""
-        self._spans = collector
-
-    @property
-    def cardinality(self) -> int:
-        """Number of live (non-deleted) points.
-
-        Every tombstone references exactly one stored row (deletes
-        validate liveness; recovery drops deletes for rows a pre-crash
-        compaction already removed), so the subtraction is exact.
-        """
-        with self._lock:
-            total = sum(s.cardinality for s in self._segments)
-            return total + len(self._memtable) - len(self._tombstones)
-
-    @property
     def memtable_size(self) -> int:
         with self._lock:
             return len(self._memtable)
-
-    @property
-    def tombstone_count(self) -> int:
-        with self._lock:
-            return len(self._tombstones)
 
     @property
     def segment_count(self) -> int:
@@ -415,46 +361,6 @@ class LsmMatchDatabase:
             if self.user_bytes_inserted == 0:
                 return 0.0
             return self.segment_bytes_written / self.user_bytes_inserted
-
-    def __len__(self) -> int:
-        return self.cardinality
-
-    def __contains__(self, pid: int) -> bool:
-        with self._lock:
-            if pid in self._tombstones:
-                return False
-            return self._pid_present(pid)
-
-    def get_point(self, pid: int) -> np.ndarray:
-        """The coordinates of a live point."""
-        with self._lock:
-            if pid in self._tombstones:
-                raise ValidationError(f"point {pid} was deleted")
-            if pid in self._memtable:
-                return self._memtable.get_point(pid)
-            for segment in self._segments:
-                coords = segment.get_point(pid)
-                if coords is not None:
-                    return coords
-            raise ValidationError(f"unknown point id {pid}")
-
-    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All live points as ``(rows, pids)`` in ascending-pid order."""
-        with self._lock:
-            rows = [s.rows for s in self._segments]
-            pids = [s.pids for s in self._segments]
-            mem_rows, mem_pids = self._memtable.live_arrays(set())
-            rows.append(mem_rows)
-            pids.append(mem_pids)
-            all_rows = np.vstack(rows)
-            all_pids = np.concatenate(pids)
-            if self._tombstones:
-                live = ~np.isin(
-                    all_pids, np.fromiter(self._tombstones, dtype=np.int64)
-                )
-                all_rows, all_pids = all_rows[live], all_pids[live]
-            order = np.argsort(all_pids)
-            return np.ascontiguousarray(all_rows[order]), all_pids[order]
 
     def level_layout(self) -> List[dict]:
         """Per-level segment layout (used by ``repro lsm-info``)."""
@@ -555,17 +461,6 @@ class LsmMatchDatabase:
         self._generation = generation
         self.user_bytes_inserted += coords.shape[0] * 8
         return wal_bytes
-
-    def insert_many(self, points) -> List[int]:
-        """Insert several points; returns their ids."""
-        array = validation.as_database_array(points)
-        if array.shape[1] != self._dimensionality:
-            raise ValidationError(
-                f"points have {array.shape[1]} dimensions; expected "
-                f"{self._dimensionality}"
-            )
-        with self._lock:
-            return [self.insert(row) for row in array]
 
     def delete(self, pid: int) -> None:
         """Delete a live point by id.  WAL-logged first."""
@@ -829,125 +724,6 @@ class LsmMatchDatabase:
         while self.compact_once():
             rounds += 1
         return rounds
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def k_n_match(self, query, k: int, n: int) -> MatchResult:
-        """Exact k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n = validation.validate_n(n, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n, n))
-                merged = sorted(candidates[n])[:k]
-            else:
-                with spans.span("lsm/k_n_match", k=k, n=n):
-                    candidates, stats = self._candidates(query, k, (n, n))
-                    with spans.span("merge"):
-                        merged = sorted(candidates[n])[:k]
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "lsm", "k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
-        return MatchResult(
-            ids=[pid for _diff, pid in merged],
-            differences=[diff for diff, _pid in merged],
-            k=k,
-            n=n,
-            stats=stats,
-        )
-
-    def frequent_k_n_match(
-        self, query, k: int, n_range: Tuple[int, int], keep_answer_sets: bool = True
-    ) -> FrequentMatchResult:
-        """Exact frequent k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n0, n1 = validation.validate_n_range(n_range, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n0, n1))
-                answer_sets = self._answer_sets(candidates, k, n0, n1)
-            else:
-                with spans.span("lsm/frequent_k_n_match", k=k, n0=n0, n1=n1):
-                    candidates, stats = self._candidates(query, k, (n0, n1))
-                    with spans.span("merge"):
-                        answer_sets = self._answer_sets(candidates, k, n0, n1)
-        chosen, frequencies = rank_by_frequency(answer_sets, k)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "lsm", "frequent_k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
-        return FrequentMatchResult(
-            ids=chosen,
-            frequencies=frequencies,
-            k=k,
-            n_range=(n0, n1),
-            answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
-        )
-
-    @staticmethod
-    def _answer_sets(candidates, k: int, n0: int, n1: int) -> Dict[int, List[int]]:
-        answer_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            merged = sorted(candidates[n])[:k]
-            answer_sets[n] = [pid for _diff, pid in merged]
-        return answer_sets
-
-    def _candidates(
-        self, query: np.ndarray, k: int, n_range: Tuple[int, int]
-    ) -> Tuple[Dict[int, List[Tuple[float, int]]], SearchStats]:
-        """Per-n candidate streams from the memtable and every segment."""
-        n0, n1 = n_range
-        per_n: Dict[int, List[Tuple[float, int]]] = {
-            n: [] for n in range(n0, n1 + 1)
-        }
-        stats = SearchStats(
-            total_attributes=self.cardinality * self._dimensionality
-        )
-        spans = self._spans
-        if spans is None:
-            self._memtable.collect_candidates(
-                query, n0, n1, self._tombstones, per_n, stats
-            )
-            for segment in self._segments:
-                stats = segment.collect_candidates(
-                    query, k, n0, n1, self._tombstones, per_n, stats
-                )
-        else:
-            with spans.span("memtable_scan", rows=len(self._memtable)):
-                self._memtable.collect_candidates(
-                    query, n0, n1, self._tombstones, per_n, stats
-                )
-            for segment in self._segments:
-                with spans.span(
-                    "segment_search",
-                    segment=segment.segment_id,
-                    level=segment.level,
-                ):
-                    stats = segment.collect_candidates(
-                        query, k, n0, n1, self._tombstones, per_n, stats
-                    )
-        return per_n, stats
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -71,17 +71,15 @@ PHASE_NAMES: Tuple[str, ...] = (
     "batch_shard",    # one executor shard (a chunk of a query batch)
     "shard_fanout",   # scatter a query to every database shard
     "shard_call",     # one shard's engine call within a fan-out
-    "merge",          # gather: merge per-shard answers to the global one
-    "base_search",    # dynamic database: the static base-segment search
-    "buffer_scan",    # dynamic database: brute-force delta-buffer scan
+    "merge",          # gather: merge per-part answers to the global one
     "serve_handle",   # one HTTP request through the serving layer
     "serve_cache",    # a result-cache lookup or store within a request
     "plan",           # an engine="auto" planning decision (estimate+probes)
     "approx_filter",  # approx tier: budgeted frontier / sketch scoring
     "approx_rerank",  # approx tier: exact re-rank of filtered candidates
     "wal_append",     # LSM store: append one mutation record to the WAL
-    "memtable_scan",  # LSM store: brute-force scan of the mutable tier
-    "segment_search", # LSM store: one immutable segment's engine call
+    "memtable_scan",  # LSM/dynamic store: brute-force scan of the memtable
+    "segment_search", # LSM/dynamic store: one immutable segment's search
     "flush",          # LSM store: freeze the memtable into an L0 segment
     "compact",        # LSM store: merge one level into the next
 )

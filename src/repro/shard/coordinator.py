@@ -14,33 +14,26 @@ stack — thread pool, inline fast path for one shard or one worker, and,
 with a metrics registry installed, per-shard latency/straggler/worker-
 utilisation metrics under the ``shard-scatter`` engine label.
 
-Frequent k-n-match merging runs the per-``n`` merge *before* frequency
-counting: each ``n``'s answer sets are merged across shards into the
-exact global k-list first, and only then are appearance frequencies
-counted over the merged sets — Definition 4 counts appearances in
-answer sets of size exactly ``k``, so counting per shard and summing
-would be wrong whenever a shard's local top-k differs from the global
-one.
+Both backends run the same shard task
+(:func:`~repro.shard.procpool._run_task`), and every query's answers go
+through the one exact merge of :mod:`repro.core.merge` — frequent
+queries merge per ``n`` *before* counting, as Definition 4 requires.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.engine import MatchDatabase
-from ..core.merge import merge_shard_stats, merge_top_k
-from ..core.types import (
-    FrequentMatchResult,
-    MatchResult,
-    SearchStats,
-    rank_by_frequency,
-)
+from ..core.merge import answer_set_differences, merge_parts, merge_top_k
+from ..core.types import FrequentMatchResult, MatchResult, SearchStats
 from ..errors import ValidationError
 from ..parallel import BatchStats, ParallelBatchExecutor
+from .procpool import ShardProcessPool, _run_task
 
 __all__ = [
     "ScatterGatherCoordinator",
@@ -56,7 +49,7 @@ __all__ = [
 #: the coordinator process.
 SHARD_BACKENDS = ("thread", "process")
 
-#: Pool task kind for each coordinator scatter kind.
+#: Shard task kind (``procpool._run_task``) for each scatter kind.
 _POOL_KINDS = {
     "k_n_match": "query",
     "frequent_k_n_match": "frequent",
@@ -81,18 +74,21 @@ def validate_shard_backend(backend: str) -> str:
 
 
 class _ShardOutput:
-    """One shard's contribution to a scatter: payload + rolled-up stats.
+    """One shard's contribution to a scatter: its per-query results.
 
-    ``stats`` is what :class:`ParallelBatchExecutor` aggregates into its
-    :class:`BatchStats`; ``queries`` feeds the per-shard obs counters.
+    ``stats`` (their roll-up) is what :class:`ParallelBatchExecutor`
+    aggregates into its :class:`BatchStats`; ``queries`` feeds the
+    per-shard obs counters.
     """
 
-    __slots__ = ("payload", "stats", "queries")
+    __slots__ = ("results", "stats", "queries")
 
-    def __init__(self, payload, stats: SearchStats, queries: int) -> None:
-        self.payload = payload
-        self.stats = stats
-        self.queries = queries
+    def __init__(self, payload) -> None:
+        self.results = payload if isinstance(payload, list) else [payload]
+        self.stats = SearchStats.aggregate(
+            [result.stats for result in self.results]
+        )
+        self.queries = len(self.results)
 
 
 class _ShardTaskEngine:
@@ -112,48 +108,6 @@ class _ShardTaskEngine:
 
     def k_n_match(self, task: np.ndarray, k: int, n: int) -> _ShardOutput:
         return self._run_shard(int(task[0]))
-
-
-def _answer_set_differences(
-    data: np.ndarray, query: np.ndarray, answer_sets: Dict[int, List[int]]
-) -> Dict[int, np.ndarray]:
-    """Exact n-match differences of each per-``n`` answer set's ids.
-
-    Uses the same float64 arithmetic as the serial engines (``n-1``-th
-    order statistic of ``|data[pid] - query|``), so merged orderings are
-    bit-identical to unsharded execution.  ``data`` and the ids are
-    shard-local here; the caller maps ids to the global space.
-    """
-    differences: Dict[int, np.ndarray] = {}
-    for n, ids in answer_sets.items():
-        rows = np.abs(data[np.asarray(ids, dtype=np.int64)] - query)
-        differences[n] = np.partition(rows, n - 1, axis=1)[:, n - 1]
-    return differences
-
-
-def _wrap_pool_payload(pool_kind: str, payload) -> _ShardOutput:
-    """Roll a worker payload into the same envelope the closures build.
-
-    The payload shapes match the thread closures exactly (see
-    :func:`repro.shard.procpool._run_task`); only the stats roll-up and
-    query count need reconstructing on this side of the boundary.
-    """
-    if pool_kind == "query":
-        return _ShardOutput(payload, payload.stats, 1)
-    if pool_kind == "frequent":
-        return _ShardOutput(payload, payload[0].stats, 1)
-    if pool_kind == "batch":
-        return _ShardOutput(
-            payload,
-            SearchStats.aggregate([result.stats for result in payload]),
-            len(payload),
-        )
-    results = payload[0]  # frequent_batch
-    return _ShardOutput(
-        payload,
-        SearchStats.aggregate([result.stats for result in results]),
-        len(results),
-    )
 
 
 class ScatterGatherCoordinator:
@@ -275,8 +229,6 @@ class ScatterGatherCoordinator:
 
     def _ensure_pool(self):
         if self._pool is None:
-            from .procpool import ShardProcessPool
-
             self._pool = ShardProcessPool(
                 [(shard_index, db) for shard_index, db, _ in self._shards],
                 workers=min(self._workers, len(self._shards)),
@@ -316,55 +268,9 @@ class ScatterGatherCoordinator:
         self, query: np.ndarray, k: int, n: int, engine: Optional[str] = None
     ) -> MatchResult:
         """Exact global k-n-match via per-shard top-k + canonical merge."""
-        engine_name = self._engine_name(engine)
-
-        def run_one(position: int) -> _ShardOutput:
-            _, db, _ = self._shards[position]
-            result = db.k_n_match(query, min(k, db.cardinality), n, engine=engine)
-            return _ShardOutput(result, result.stats, 1)
-
-        pool_args = (query, k, n, engine_name)
-        spans = self._spans
-        if spans is None:
-            outputs = self._scatter(
-                "k_n_match", engine_name, run_one, pool_args
-            )
-            return self._merge_match(outputs, k, n)
-        with spans.span(
-            "sharded/k_n_match", k=k, n=n, shards=len(self._shards)
-        ):
-            outputs = self._scatter(
-                "k_n_match", engine_name, run_one, pool_args
-            )
-            with spans.span("merge"):
-                return self._merge_match(outputs, k, n)
-
-    def _merge_match(
-        self, outputs: List[_ShardOutput], k: int, n: int
-    ) -> MatchResult:
-        """Gather per-shard top-k lists into the exact global answer."""
-        ids = np.concatenate(
-            [
-                gids[np.asarray(output.payload.ids, dtype=np.int64)]
-                for (_, _, gids), output in zip(self._shards, outputs)
-            ]
-        )
-        differences = np.concatenate(
-            [
-                np.asarray(output.payload.differences, dtype=np.float64)
-                for output in outputs
-            ]
-        )
-        merged_ids, merged_differences = merge_top_k(ids, differences, k)
-        return MatchResult(
-            ids=merged_ids,
-            differences=merged_differences,
-            k=k,
-            n=n,
-            stats=merge_shard_stats(
-                [output.stats for output in outputs], self._total_attributes
-            ),
-        )
+        return self._gather(
+            "k_n_match", query, k, (n, n), engine, True, dict(k=k, n=n)
+        )[0]
 
     def frequent_k_n_match(
         self,
@@ -381,79 +287,11 @@ class ScatterGatherCoordinator:
         merged sets — the order Definition 4 requires.
         """
         n0, n1 = n_range
-        engine_name = self._engine_name(engine)
+        return self._gather(
+            "frequent_k_n_match", query, k, (n0, n1), engine,
+            keep_answer_sets, dict(k=k, n0=n0, n1=n1),
+        )[0]
 
-        def run_one(position: int) -> _ShardOutput:
-            _, db, _ = self._shards[position]
-            result = db.frequent_k_n_match(
-                query,
-                min(k, db.cardinality),
-                (n0, n1),
-                engine=engine,
-                keep_answer_sets=True,
-            )
-            differences = _answer_set_differences(
-                db.data, query, result.answer_sets
-            )
-            return _ShardOutput((result, differences), result.stats, 1)
-
-        pool_args = (query, k, (n0, n1), engine_name)
-        spans = self._spans
-        if spans is None:
-            outputs = self._scatter(
-                "frequent_k_n_match", engine_name, run_one, pool_args
-            )
-            return self._merge_frequent(outputs, k, n0, n1, keep_answer_sets)
-        with spans.span(
-            "sharded/frequent_k_n_match",
-            k=k, n0=n0, n1=n1, shards=len(self._shards),
-        ):
-            outputs = self._scatter(
-                "frequent_k_n_match", engine_name, run_one, pool_args
-            )
-            with spans.span("merge"):
-                return self._merge_frequent(
-                    outputs, k, n0, n1, keep_answer_sets
-                )
-
-    def _merge_frequent(
-        self,
-        outputs: List[_ShardOutput],
-        k: int,
-        n0: int,
-        n1: int,
-        keep_answer_sets: bool,
-    ) -> FrequentMatchResult:
-        """Per-``n`` merge first, frequency counting second (Def. 4)."""
-        merged_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            ids = np.concatenate(
-                [
-                    gids[
-                        np.asarray(
-                            output.payload[0].answer_sets[n], dtype=np.int64
-                        )
-                    ]
-                    for (_, _, gids), output in zip(self._shards, outputs)
-                ]
-            )
-            differences = np.concatenate(
-                [output.payload[1][n] for output in outputs]
-            )
-            merged_sets[n], _ = merge_top_k(ids, differences, k)
-        chosen, frequencies = rank_by_frequency(merged_sets, k)
-        return FrequentMatchResult(
-            ids=chosen,
-            frequencies=frequencies,
-            k=k,
-            n_range=(n0, n1),
-            answer_sets=merged_sets if keep_answer_sets else None,
-            stats=merge_shard_stats(
-                [output.stats for output in outputs], self._total_attributes
-            ),
-        )
-
-    # ------------------------------------------------------------------
     def k_n_match_batch(
         self,
         queries: np.ndarray,
@@ -468,81 +306,10 @@ class ScatterGatherCoordinator:
         ``batch-block-ad``), so the scatter parallelism composes with
         the batch engines rather than replacing them.
         """
-        count = queries.shape[0]
-        started = time.perf_counter()
-        if count == 0:
-            self._last_batch_stats = BatchStats(
-                queries=0, shards=0, workers=self._workers,
-                backend=self._backend,
-            )
-            return []
-        engine_name = self._engine_name(engine)
-
-        def run_one(position: int) -> _ShardOutput:
-            _, db, _ = self._shards[position]
-            results = db.k_n_match_batch(
-                queries, min(k, db.cardinality), n, engine=engine
-            )
-            return _ShardOutput(
-                results,
-                SearchStats.aggregate([result.stats for result in results]),
-                count,
-            )
-
-        pool_args = (queries, k, n, engine_name)
-        spans = self._spans
-        if spans is None:
-            outputs = self._scatter(
-                "k_n_match_batch", engine_name, run_one, pool_args
-            )
-            merged = self._merge_match_batch(outputs, count, k, n)
-        else:
-            with spans.span(
-                "sharded/k_n_match_batch",
-                batch=count, k=k, n=n, shards=len(self._shards),
-            ):
-                outputs = self._scatter(
-                    "k_n_match_batch", engine_name, run_one, pool_args
-                )
-                with spans.span("merge"):
-                    merged = self._merge_match_batch(outputs, count, k, n)
-        self._record_batch(count, started, merged)
-        return merged
-
-    def _merge_match_batch(
-        self, outputs: List[_ShardOutput], count: int, k: int, n: int
-    ) -> List[MatchResult]:
-        """Per-query gather of the per-shard batch results."""
-        merged: List[MatchResult] = []
-        for qi in range(count):
-            ids = np.concatenate(
-                [
-                    gids[np.asarray(output.payload[qi].ids, dtype=np.int64)]
-                    for (_, _, gids), output in zip(self._shards, outputs)
-                ]
-            )
-            differences = np.concatenate(
-                [
-                    np.asarray(
-                        output.payload[qi].differences, dtype=np.float64
-                    )
-                    for output in outputs
-                ]
-            )
-            merged_ids, merged_differences = merge_top_k(ids, differences, k)
-            merged.append(
-                MatchResult(
-                    ids=merged_ids,
-                    differences=merged_differences,
-                    k=k,
-                    n=n,
-                    stats=merge_shard_stats(
-                        [output.payload[qi].stats for output in outputs],
-                        self._total_attributes,
-                    ),
-                )
-            )
-        return merged
+        return self._gather_batch(
+            "k_n_match_batch", queries, k, (n, n), engine, True,
+            dict(k=k, n=n),
+        )
 
     def frequent_k_n_match_batch(
         self,
@@ -553,6 +320,17 @@ class ScatterGatherCoordinator:
         keep_answer_sets: bool = False,
     ) -> List[FrequentMatchResult]:
         """One exact global frequent k-n-match per query row."""
+        n0, n1 = n_range
+        return self._gather_batch(
+            "frequent_k_n_match_batch", queries, k, (n0, n1), engine,
+            keep_answer_sets, dict(k=k, n0=n0, n1=n1),
+        )
+
+    # ------------------------------------------------------------------
+    def _gather_batch(
+        self, kind, queries, k, n_range, engine, keep_answer_sets, meta
+    ) -> list:
+        """:meth:`_gather` plus the batch bookkeeping."""
         count = queries.shape[0]
         started = time.perf_counter()
         if count == 0:
@@ -561,120 +339,110 @@ class ScatterGatherCoordinator:
                 backend=self._backend,
             )
             return []
-        n0, n1 = n_range
+        merged = self._gather(
+            kind, queries, k, n_range, engine, keep_answer_sets,
+            dict(batch=count, **meta),
+        )
+        self._last_batch_stats = BatchStats(
+            queries=count,
+            shards=len(self._shards),
+            workers=self._workers,
+            wall_time_seconds=time.perf_counter() - started,
+            total=SearchStats.aggregate([result.stats for result in merged]),
+            backend=self._backend,
+        )
+        return merged
+
+    def _gather(
+        self, kind, task_input, k, n_range, engine, keep_answer_sets, meta
+    ) -> list:
+        """Scatter one task per shard, then merge every query's answers.
+
+        ``task_input`` is the caller's own query vector (or batch
+        matrix): the per-shard calls receive that very object.
+        """
         engine_name = self._engine_name(engine)
-
-        def run_one(position: int) -> _ShardOutput:
-            _, db, _ = self._shards[position]
-            results = db.frequent_k_n_match_batch(
-                queries,
-                min(k, db.cardinality),
-                (n0, n1),
-                engine=engine,
-                keep_answer_sets=True,
-            )
-            differences = [
-                _answer_set_differences(db.data, query, result.answer_sets)
-                for query, result in zip(queries, results)
-            ]
-            return _ShardOutput(
-                (results, differences),
-                SearchStats.aggregate([result.stats for result in results]),
-                count,
-            )
-
-        pool_args = (queries, k, (n0, n1), engine_name)
+        frequent = kind.startswith("frequent")
+        queries = task_input if kind.endswith("_batch") else [task_input]
+        args = (
+            task_input, k, n_range if frequent else n_range[0], engine_name
+        )
         spans = self._spans
         if spans is None:
-            outputs = self._scatter(
-                "frequent_k_n_match_batch", engine_name, run_one, pool_args
+            outputs = self._scatter(kind, engine_name, args)
+            return self._merge(
+                outputs, queries, k, n_range, frequent, keep_answer_sets
             )
-            merged = self._merge_frequent_batch(
-                outputs, count, k, n0, n1, keep_answer_sets
-            )
-        else:
-            with spans.span(
-                "sharded/frequent_k_n_match_batch",
-                batch=count, k=k, n0=n0, n1=n1, shards=len(self._shards),
-            ):
-                outputs = self._scatter(
-                    "frequent_k_n_match_batch", engine_name, run_one,
-                    pool_args,
+        with spans.span(f"sharded/{kind}", **meta, shards=len(self._shards)):
+            outputs = self._scatter(kind, engine_name, args)
+            with spans.span("merge"):
+                return self._merge(
+                    outputs, queries, k, n_range, frequent, keep_answer_sets
                 )
-                with spans.span("merge"):
-                    merged = self._merge_frequent_batch(
-                        outputs, count, k, n0, n1, keep_answer_sets
-                    )
-        self._record_batch(count, started, merged)
-        return merged
 
-    def _merge_frequent_batch(
-        self,
-        outputs: List[_ShardOutput],
-        count: int,
-        k: int,
-        n0: int,
-        n1: int,
-        keep_answer_sets: bool,
-    ) -> List[FrequentMatchResult]:
-        """Per-query, per-``n`` gather of the per-shard batch results."""
-        merged: List[FrequentMatchResult] = []
-        for qi in range(count):
-            merged_sets: Dict[int, List[int]] = {}
-            for n in range(n0, n1 + 1):
-                ids = np.concatenate(
-                    [
-                        gids[
-                            np.asarray(
-                                output.payload[0][qi].answer_sets[n],
-                                dtype=np.int64,
-                            )
-                        ]
-                        for (_, _, gids), output in zip(self._shards, outputs)
-                    ]
+    def _merge(
+        self, outputs, queries, k, n_range, frequent, keep_answer_sets
+    ) -> list:
+        """Per query: exact differences per shard, then the global merge.
+
+        Each shard's answer sets (shard-local rows) become global ids
+        and n-match differences (:func:`answer_set_differences`); the
+        per-``n`` merge and any frequency count follow in
+        :func:`merge_parts` (merge first, count second — Def. 4).
+        """
+        merged = []
+        for position, query in enumerate(queries):
+            results = [output.results[position] for output in outputs]
+            parts = [
+                answer_set_differences(
+                    db.data,
+                    query,
+                    result.answer_sets if frequent else {result.n: result.ids},
+                    gids,
                 )
-                differences = np.concatenate(
-                    [output.payload[1][qi][n] for output in outputs]
-                )
-                merged_sets[n], _ = merge_top_k(ids, differences, k)
-            chosen, frequencies = rank_by_frequency(merged_sets, k)
+                for (_, db, gids), result in zip(self._shards, results)
+            ]
             merged.append(
-                FrequentMatchResult(
-                    ids=chosen,
-                    frequencies=frequencies,
-                    k=k,
-                    n_range=(n0, n1),
-                    answer_sets=merged_sets if keep_answer_sets else None,
-                    stats=merge_shard_stats(
-                        [output.payload[0][qi].stats for output in outputs],
-                        self._total_attributes,
-                    ),
+                merge_parts(
+                    parts,
+                    [result.stats for result in results],
+                    k,
+                    n_range,
+                    self._total_attributes,
+                    frequent,
+                    keep_answer_sets,
+                    top_k=merge_top_k,
                 )
             )
         return merged
 
-    # ------------------------------------------------------------------
     def _engine_name(self, engine: Optional[str]) -> str:
         return engine or self._shards[0][1].default_engine
 
     def _scatter(
-        self, kind: str, engine_name: str, run_one, pool_args: tuple
+        self, kind: str, engine_name: str, args: tuple
     ) -> List[_ShardOutput]:
-        """Fan the scatter out on the configured backend.
+        """Run one ``kind`` task with ``args`` on every shard.
 
-        ``run_one(position)`` is the thread-backend closure; ``pool_args``
-        is the equivalent worker-task argument tuple for the process
-        backend.  Both produce the same payload shapes, so everything
-        downstream (merge, stats roll-up) is backend-agnostic.
+        Both backends execute :func:`~repro.shard.procpool._run_task` —
+        in-process on the executor's threads, or in the worker pool — so
+        everything downstream (merge, stats roll-up) is
+        backend-agnostic.
         """
         if self._backend == "process":
-            return self._scatter_process(kind, engine_name, pool_args)
-        return self._scatter_thread(kind, engine_name, run_one)
+            return self._scatter_process(kind, engine_name, args)
+        return self._scatter_thread(kind, engine_name, args)
 
     def _scatter_thread(
-        self, kind: str, engine_name: str, run_one
+        self, kind: str, engine_name: str, args: tuple
     ) -> List[_ShardOutput]:
-        """Run ``run_one(position)`` for every shard via the executor."""
+        """Run the task for every shard via the executor."""
+        task_kind = _POOL_KINDS[kind]
+
+        def run_one(position: int) -> _ShardOutput:
+            db = self._shards[position][1]
+            return _ShardOutput(_run_task(db, task_kind, args))
+
         registry = self._metrics
         spans = self._spans
         if registry is None and spans is None:
@@ -745,13 +513,12 @@ class ScatterGatherCoordinator:
             return list(executor.k_n_match_batch(tasks, 1, 1))
 
     def _scatter_process(
-        self, kind: str, engine_name: str, pool_args: tuple
+        self, kind: str, engine_name: str, args: tuple
     ) -> List[_ShardOutput]:
         """Fan the scatter out to the shared-memory worker pool.
 
         One pool task per shard; the pool load-balances them over its
-        workers and ships back the same payload shapes the thread
-        closures produce, plus a per-shard envelope (worker pid, worker
+        workers and ships back the task's payload, plus a per-shard envelope (worker pid, worker
         wall seconds).  Spans and metrics are recorded here, post hoc —
         worker processes never see the obs objects — with the worker's
         own wall time as the duration of record.
@@ -759,7 +526,7 @@ class ScatterGatherCoordinator:
         pool = self._ensure_pool()
         pool_kind = _POOL_KINDS[kind]
         tasks = [
-            (position, pool_kind, pool_args)
+            (position, pool_kind, args)
             for position in range(len(self._shards))
         ]
         spans = self._spans
@@ -782,7 +549,7 @@ class ScatterGatherCoordinator:
         outputs: List[_ShardOutput] = []
         for position, result in enumerate(results):
             shard_index = self._shards[position][0]
-            output = _wrap_pool_payload(pool_kind, result.payload)
+            output = _ShardOutput(result.payload)
             if spans is not None:
                 # Post-hoc marker span: the shard ran in a worker
                 # process, so the span's own duration is ~0 and the
@@ -827,13 +594,3 @@ class ScatterGatherCoordinator:
                 )
             outputs.append(output)
         return outputs
-
-    def _record_batch(self, count: int, started: float, merged) -> None:
-        self._last_batch_stats = BatchStats(
-            queries=count,
-            shards=len(self._shards),
-            workers=self._workers,
-            wall_time_seconds=time.perf_counter() - started,
-            total=SearchStats.aggregate([result.stats for result in merged]),
-            backend=self._backend,
-        )

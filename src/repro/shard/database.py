@@ -40,6 +40,7 @@ from ..core.engine import (
     validate_engine_choice,
     validate_engine_name,
 )
+from ..core.merge import merge_parts
 from ..core.types import FrequentMatchResult, MatchResult
 from ..errors import ValidationError
 from ..parallel import BatchStats
@@ -615,7 +616,7 @@ class ShardedMatchDatabase:
 
         shard_budgets = self._approx_shard_budgets(budget)
         shard_results = []
-        gid_arrays = []
+        parts = []
         for index, (db, gids) in enumerate(
             zip(self._shard_dbs, self._global_ids)
         ):
@@ -631,7 +632,14 @@ class ShardedMatchDatabase:
                 candidate_multiplier=multiplier,
             )
             shard_results.append(result)
-            gid_arrays.append(gids)
+            parts.append(
+                {
+                    n: (
+                        gids[np.asarray(result.ids, dtype=np.int64)],
+                        np.asarray(result.differences, dtype=np.float64),
+                    )
+                }
+            )
 
         bounds = []
         for result in shard_results:
@@ -643,46 +651,19 @@ class ShardedMatchDatabase:
                 bounds.append(result.unseen_lower_bound)
         limit = min(bounds) if bounds else np.inf
 
-        all_ids = np.concatenate(
-            [
-                gids[np.asarray(result.ids, dtype=np.int64)]
-                for result, gids in zip(shard_results, gid_arrays)
-            ]
-            or [np.empty(0, dtype=np.int64)]
+        merged = merge_parts(
+            parts,
+            [result.stats for result in shard_results],
+            k,
+            (n, n),
+            self.cardinality * self.dimensionality,
         )
-        all_diffs = np.concatenate(
-            [
-                np.asarray(result.differences, dtype=np.float64)
-                for result in shard_results
-            ]
-            or [np.empty(0, dtype=np.float64)]
-        )
-        order = np.lexsort((all_ids, all_diffs))[:k]
-        out_ids = all_ids[order]
-        out_diffs = all_diffs[order]
-        certified_count = int(np.count_nonzero(out_diffs <= limit))
-
-        from ..core.types import SearchStats
-
-        stats = SearchStats(
-            attributes_retrieved=sum(
-                r.stats.attributes_retrieved for r in shard_results
-            ),
-            total_attributes=self.cardinality * self.dimensionality,
-            heap_pops=sum(r.stats.heap_pops for r in shard_results),
-            binary_search_probes=sum(
-                r.stats.binary_search_probes for r in shard_results
-            ),
-            candidates_refined=sum(
-                r.stats.candidates_refined for r in shard_results
-            ),
-            approximation_entries_scanned=sum(
-                r.stats.approximation_entries_scanned for r in shard_results
-            ),
+        certified_count = int(
+            np.count_nonzero(np.asarray(merged.differences) <= limit)
         )
         return ApproxResult(
-            ids=[int(pid) for pid in out_ids],
-            differences=[float(dif) for dif in out_diffs],
+            ids=merged.ids,
+            differences=merged.differences,
             k=k,
             n=n,
             engine=engine_name,
@@ -691,7 +672,7 @@ class ShardedMatchDatabase:
             unseen_lower_bound=None if not np.isfinite(limit) else float(limit),
             exact=certified_count == k,
             budget=budget,
-            stats=stats,
+            stats=merged.stats,
         )
 
     def _k_n_match_approx(

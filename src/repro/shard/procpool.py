@@ -10,8 +10,8 @@ the ``(d, c)`` sorted values/ids matrices — is published **once** into
 :mod:`multiprocessing.shared_memory` segments, and a small persistent
 pool of **spawned** worker processes maps them back as zero-copy,
 read-only numpy views.  Per query, only the task tuple (a query vector,
-``k``, ``n``, an engine name) and the per-shard answer payload (k ids,
-k differences, a :class:`~repro.core.types.SearchStats`) cross the
+``k``, ``n``, an engine name) and the per-shard result (k ids per
+answer set, a :class:`~repro.core.types.SearchStats`) cross the
 process boundary — kilobytes of IPC, never the database.
 
 Exactness is inherited, not re-proven: workers run the very same
@@ -208,62 +208,29 @@ def _release_segments(segments: Sequence[shared_memory.SharedMemory]) -> None:
 # the worker process
 # ----------------------------------------------------------------------
 def _run_task(db: MatchDatabase, kind: str, args: tuple):
-    """Execute one task against a mapped shard database.
+    """Execute one shard task; both scatter backends run exactly this.
 
-    The payloads mirror what the thread backend's closures hand the
-    merge step, so the coordinator treats both backends identically:
-    ``query`` -> MatchResult; ``frequent`` -> (FrequentMatchResult,
-    per-n difference arrays); ``batch`` -> [MatchResult];
-    ``frequent_batch`` -> ([FrequentMatchResult], [per-n differences]).
+    ``query`` -> MatchResult; ``frequent`` -> FrequentMatchResult (with
+    its answer sets); ``batch`` -> [MatchResult]; ``frequent_batch`` ->
+    [FrequentMatchResult].  ``k`` is clamped to the shard's size; the
+    coordinator merges the shard-local answers.
     """
-    if kind == "query":
-        query, k, n, engine = args
-        return db.k_n_match(query, min(k, db.cardinality), n, engine=engine)
-    if kind == "frequent":
-        query, k, n_range, engine = args
-        result = db.frequent_k_n_match(
-            query,
-            min(k, db.cardinality),
-            n_range,
-            engine=engine,
-            keep_answer_sets=True,
-        )
-        return result, _answer_set_differences(db.data, query, result.answer_sets)
-    if kind == "batch":
-        queries, k, n, engine = args
-        return db.k_n_match_batch(
-            queries, min(k, db.cardinality), n, engine=engine
-        )
-    if kind == "frequent_batch":
-        queries, k, n_range, engine = args
-        results = db.frequent_k_n_match_batch(
-            queries,
-            min(k, db.cardinality),
-            n_range,
-            engine=engine,
-            keep_answer_sets=True,
-        )
-        differences = [
-            _answer_set_differences(db.data, query, result.answer_sets)
-            for query, result in zip(queries, results)
-        ]
-        return results, differences
     if kind == "__test_crash__":
         os.kill(os.getpid(), signal.SIGKILL)
-    raise ValueError(f"unknown task kind {kind!r}")
-
-
-def _answer_set_differences(data, query, answer_sets):
-    """Same arithmetic as the coordinator's helper, shard-local ids.
-
-    Duplicated (three lines) rather than imported from the coordinator
-    so the worker's import closure stays minimal under spawn.
-    """
-    differences = {}
-    for n, ids in answer_sets.items():
-        rows = np.abs(data[np.asarray(ids, dtype=np.int64)] - query)
-        differences[n] = np.partition(rows, n - 1, axis=1)[:, n - 1]
-    return differences
+    if kind not in _KINDS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    query, k, n, engine = args  # batch kinds: query is a matrix
+    k = min(k, db.cardinality)
+    if kind == "query":
+        return db.k_n_match(query, k, n, engine=engine)
+    if kind == "batch":
+        return db.k_n_match_batch(query, k, n, engine=engine)
+    frequent = (
+        db.frequent_k_n_match
+        if kind == "frequent"
+        else db.frequent_k_n_match_batch
+    )
+    return frequent(query, k, n, engine=engine, keep_answer_sets=True)
 
 
 def _worker_main(

@@ -88,8 +88,8 @@ class TestDynamicObservability:
         assert root.name == "dynamic/k_n_match"
         assert root.meta == {"k": 3, "n": 4}
         names = [span.name for span in root.iter_spans()]
-        assert "base_search" in names
-        assert "buffer_scan" in names
+        assert "segment_search" in names
+        assert "memtable_scan" in names
         assert "merge" in names
 
     def test_frequent_span_root(self, small_data, small_query):
