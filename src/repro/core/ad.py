@@ -13,6 +13,27 @@ algorithms that are correct on every dataset instance, AD retrieves the
 fewest individual attributes.  The engine exposes exact counters so tests
 can verify both claims empirically.
 
+The pop order, and how the engine reproduces it without a heap.  The
+frontier (:class:`~repro.sorted_lists.AscendingDifferenceFrontier`)
+holds one entry per slot, keyed ``(difference, slot, id)``: slot ``2j``
+walks dimension ``j`` down from the query's split position, slot
+``2j + 1`` walks it up, and the difference is the cursor's own float
+``abs(value - q_j)``, which never decreases along a walk.  Its pops are
+therefore a stable sort of all attributes by (difference, slot, position
+along the walk).  A point completes ``n`` appearances at the pop of its
+*n-th key*, the n-th smallest of its own attributes' keys, and the loop
+stops at the k-th smallest ``n1``-th key.  :func:`pop_prefix` computes
+exactly that with numpy: block-AD's window growth finds candidates, their
+exact rows give the n-th keys (ties ordered by slot and walk position),
+and binary searches on each slot's monotone differences give how many
+attributes each slot has popped at the stop — hence ``heap_pops`` and
+``attributes_retrieved`` (one more per slot for its frontier entry, up to
+the slot's length).  Ids, differences, answer sets and every counter
+equal the heap loop's (``tests/test_ad_heap_identity.py``); the counters
+are the paper's access model, not a count of numpy calls.  The heap loop
+itself stays in :mod:`repro.core.matchloop` for the disk engine and the
+IR middleware.
+
 Answer-set semantics of the frequent variant: Definition 4 counts
 frequencies over answer sets of size exactly ``k``; Fig. 6's literal
 pseudo-code can leave more than ``k`` ids in ``S[n]`` for ``n < n1``
@@ -26,13 +47,13 @@ instead.
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..sorted_lists import AscendingDifferenceFrontier, SortedColumns, make_cursors
+from ..sorted_lists import SortedColumns
 from . import validation
-from .matchloop import run_frequent_k_n_match, run_k_n_match
+from .ad_block import candidate_mask, grow_windows
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
 
 __all__ = ["ADEngine"]
@@ -47,9 +68,10 @@ class ADEngine:
     :class:`~repro.obs.MetricsRegistry` (``metrics=``) makes the engine
     record per-query counters, and an optional
     :class:`~repro.obs.SpanCollector` (``spans=``) records phase spans
-    (``cursor_init`` / ``heap_consume`` / ``rank``); with neither
-    installed the instrumentation path is a single ``is not None``
-    branch per query and answers are identical.
+    (``cursor_init``: the split binary searches; ``heap_consume``: the
+    pop prefix; ``rank``); with neither installed the instrumentation
+    path is a single ``is not None`` branch per query and answers are
+    identical.
     """
 
     name = "ad"
@@ -120,25 +142,19 @@ class ADEngine:
         spans = self._spans
         started = time.perf_counter() if registry is not None else 0.0
         if spans is None:
-            frontier = AscendingDifferenceFrontier(
-                make_cursors(self._columns, query)
-            )
-            answer_ids, answer_differences = run_k_n_match(frontier, c, k, n)
+            splits = self._columns.locate_all(query)
+            prefix = pop_prefix(self._columns, query, splits, k, n, n)
         else:
             with spans.span(f"{self.name}/k_n_match", k=k, n=n):
                 with spans.span("cursor_init", dimensions=d):
-                    frontier = AscendingDifferenceFrontier(
-                        make_cursors(self._columns, query)
-                    )
+                    splits = self._columns.locate_all(query)
                 with spans.span("heap_consume"):
-                    answer_ids, answer_differences = run_k_n_match(
-                        frontier, c, k, n
-                    )
+                    prefix = pop_prefix(self._columns, query, splits, k, n, n)
                     spans.annotate(
-                        heap_pops=frontier.pops,
-                        attributes_retrieved=frontier.attributes_retrieved,
+                        heap_pops=prefix.heap_pops,
+                        attributes_retrieved=prefix.attributes_retrieved,
                     )
-        stats = self._make_stats(frontier)
+        stats = self._make_stats(prefix)
         if registry is not None:
             from ..obs import observe_query
 
@@ -147,7 +163,11 @@ class ADEngine:
                 time.perf_counter() - started, d,
             )
         return MatchResult(
-            ids=answer_ids, differences=answer_differences, k=k, n=n, stats=stats
+            ids=prefix.sets[n],
+            differences=prefix.differences,
+            k=k,
+            n=n,
+            stats=stats,
         )
 
     # ------------------------------------------------------------------
@@ -177,37 +197,29 @@ class ADEngine:
         registry = self._metrics
         spans = self._spans
         started = time.perf_counter() if registry is not None else 0.0
+        # the untruncated sets are every id the loop completes
+        full = not truncate_answer_sets
         if spans is None:
-            frontier = AscendingDifferenceFrontier(
-                make_cursors(self._columns, query)
-            )
-            sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
-            if truncate_answer_sets:
-                answer_sets = {n: ids[:k] for n, ids in sets.items()}
-            else:
-                answer_sets = sets
-            chosen, frequencies = rank_by_frequency(answer_sets, k)
+            splits = self._columns.locate_all(query)
+            prefix = pop_prefix(self._columns, query, splits, k, n0, n1, full)
+            chosen, frequencies = rank_by_frequency(prefix.sets, k)
         else:
             with spans.span(
                 f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1
             ):
                 with spans.span("cursor_init", dimensions=d):
-                    frontier = AscendingDifferenceFrontier(
-                        make_cursors(self._columns, query)
-                    )
+                    splits = self._columns.locate_all(query)
                 with spans.span("heap_consume"):
-                    sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
+                    prefix = pop_prefix(
+                        self._columns, query, splits, k, n0, n1, full
+                    )
                     spans.annotate(
-                        heap_pops=frontier.pops,
-                        attributes_retrieved=frontier.attributes_retrieved,
+                        heap_pops=prefix.heap_pops,
+                        attributes_retrieved=prefix.attributes_retrieved,
                     )
                 with spans.span("rank"):
-                    if truncate_answer_sets:
-                        answer_sets = {n: ids[:k] for n, ids in sets.items()}
-                    else:
-                        answer_sets = sets
-                    chosen, frequencies = rank_by_frequency(answer_sets, k)
-        stats = self._make_stats(frontier)
+                    chosen, frequencies = rank_by_frequency(prefix.sets, k)
+        stats = self._make_stats(prefix)
         if registry is not None:
             from ..obs import observe_query
 
@@ -220,17 +232,228 @@ class ADEngine:
             frequencies=frequencies,
             k=k,
             n_range=(n0, n1),
-            answer_sets=answer_sets if keep_answer_sets else None,
+            answer_sets=prefix.sets if keep_answer_sets else None,
             stats=stats,
         )
 
     # ------------------------------------------------------------------
-    def _make_stats(self, frontier: AscendingDifferenceFrontier) -> SearchStats:
-        d = self._columns.dimensionality
+    def _make_stats(self, prefix: "PopPrefix") -> SearchStats:
         return SearchStats(
-            attributes_retrieved=frontier.attributes_retrieved,
+            attributes_retrieved=prefix.attributes_retrieved,
             total_attributes=self._columns.total_attributes,
-            heap_pops=frontier.pops,
+            heap_pops=prefix.heap_pops,
             # one binary search per dimension to locate the query
-            binary_search_probes=d,
+            binary_search_probes=self._columns.dimensionality,
         )
+
+
+# ----------------------------------------------------------------------
+# the pop-prefix kernel
+# ----------------------------------------------------------------------
+class PopPrefix(NamedTuple):
+    """What the frontier's pop loop produces, and what it costs."""
+
+    #: ``sets[n]``: ids in the order they complete ``n`` appearances —
+    #: the first ``k``, or every id the loop completes (``full``)
+    sets: Dict[int, List[int]]
+    #: completing difference of each of the first ``k`` ids of ``sets[n1]``
+    differences: List[float]
+    heap_pops: int
+    attributes_retrieved: int
+
+
+def pop_prefix(
+    columns: SortedColumns,
+    query: np.ndarray,
+    splits: np.ndarray,
+    k: int,
+    n0: int,
+    n1: int,
+    full: bool = False,
+) -> PopPrefix:
+    """The frontier's pop prefix up to the k-th id reaching ``n1``.
+
+    A point completes ``n`` appearances at the pop of its *n-th key*:
+    the n-th smallest ``(difference, slot, walk position)`` among its
+    attributes (module docstring).  So ``sets[n]`` is the points sorted
+    by n-th key, the loop stops at ``stop``, the k-th smallest n1-th
+    key, and each slot has popped exactly its attributes keyed at most
+    ``stop``.  ``splits`` are the query's split positions.
+    """
+    c = columns.cardinality
+    data, values, ids = columns.data, columns.values_matrix, columns.ids_matrix
+    growth = grow_windows(columns, query, k, n0, n1)
+    mask = candidate_mask(growth)
+    ranked = _rank(data, query, np.flatnonzero(mask), n0, n1)
+    # A round's window is [q - eps, q + eps] in rounded bounds, while
+    # the cursor compares its own rounded |value - q|: when the exact
+    # window of tau_n (the k-th smallest n-th difference) pokes out of
+    # the window its candidates came from, take every point inside the
+    # exact window instead.
+    widest: Dict[float, float] = {}
+    for n, (eps, _) in growth.first.items():
+        widest[eps] = max(widest.get(eps, 0.0), ranked[n][1][k - 1])
+    if not all(
+        _window_covers(values, splits, query, eps, t)
+        for eps, t in widest.items()
+    ):
+        down, up = _walk_lengths(values, splits, query, max(widest.values()))
+        mask |= _hits(ids, splits - down, splits + up, c) >= n0
+        ranked = _rank(data, query, np.flatnonzero(mask), n0, n1)
+
+    stop = tuple(column[k - 1] for column in ranked[n1])
+    pops = _slot_pops(values, ids, splits, query, stop)
+    lengths = np.empty_like(pops)
+    lengths[0::2] = splits
+    lengths[1::2] = c - splits
+    differences = ranked[n1][1][:k].tolist()
+    if full:
+        appear = _hits(ids, splits - pops[0::2], splits + pops[1::2], c)
+        ranked = _rank(data, query, np.flatnonzero(appear >= n0), n0, n1)
+        sets = {
+            n: ranked[n][0][appear[ranked[n][0]] >= n].tolist()
+            for n in range(n0, n1 + 1)
+        }
+    else:
+        sets = {n: ranked[n][0][:k].tolist() for n in range(n0, n1 + 1)}
+    return PopPrefix(
+        sets=sets,
+        differences=differences,
+        heap_pops=int(pops.sum()),
+        attributes_retrieved=int(np.minimum(pops + 1, lengths).sum()),
+    )
+
+
+def _rank(
+    data: np.ndarray, query: np.ndarray, points: np.ndarray, n0: int, n1: int
+) -> Dict[int, Tuple[np.ndarray, ...]]:
+    """Per n, ``points`` sorted by n-th key, as ``(ids, difs, slots, values)``.
+
+    A stable sort of a row's differences orders its attributes by
+    (difference, dimension), which is (difference, slot).  Keys that
+    share a slot and a difference follow the walk: up by (value, id),
+    down by (-value, -id), since equal values sit in ascending id order.
+    """
+    dif = np.abs(data[points] - query)
+    order = np.argsort(dif, axis=1, kind="stable")
+    rows = np.arange(points.shape[0])
+    ranked = {}
+    for n in range(n0, n1 + 1):
+        dims = order[:, n - 1]
+        nth = dif[rows, dims]
+        value = data[points, dims]
+        up = value >= query[dims]
+        slot = 2 * dims + up
+        sign = np.where(up, 1, -1)
+        seq = np.lexsort((sign * points, sign * value, slot, nth))
+        ranked[n] = (points[seq], nth[seq], slot[seq], value[seq])
+    return ranked
+
+
+def _walk_lengths(
+    values: np.ndarray, splits: np.ndarray, query: np.ndarray, t: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per dimension, how many attributes the down and the up walk meet
+    with ``|value - q_j| <= t``, before the first one above ``t``."""
+    d, c = values.shape
+    lo = np.empty(d, dtype=np.int64)
+    hi = np.empty(d, dtype=np.int64)
+    lows = query - t
+    highs = query + t
+    for j in range(d):
+        lo[j] = values[j].searchsorted(lows[j], side="left")
+        hi[j] = values[j].searchsorted(highs[j], side="right")
+    lo = np.minimum(lo, splits)
+    hi = np.maximum(hi, splits)
+    # q_j -/+ t is rounded: settle each end on |value - q_j| itself.
+    rows = np.arange(d)
+
+    def within(position):
+        at = values[rows, np.clip(position, 0, c - 1)]
+        return np.abs(at - query) <= t
+
+    unsettled = (
+        ((lo > 0) & within(lo - 1))
+        | ((lo < splits) & ~within(lo))
+        | ((hi < c) & within(hi))
+        | ((hi > splits) & ~within(hi - 1))
+    )
+    for j in np.flatnonzero(unsettled):
+        lo[j], hi[j] = _settle(
+            values[j], int(splits[j]), query[j], t, lo[j], hi[j]
+        )
+    return splits - lo, hi - splits
+
+
+def _settle(column, split, q, t, lo, hi):
+    """Move ``lo``/``hi`` over whole equal-value runs until exact."""
+    while lo > 0 and abs(column[lo - 1] - q) <= t:
+        lo = np.searchsorted(column, column[lo - 1], side="left")
+    while lo < split and abs(column[lo] - q) > t:
+        lo = np.searchsorted(column, column[lo], side="right")
+    while hi < column.shape[0] and abs(column[hi] - q) <= t:
+        hi = np.searchsorted(column, column[hi], side="right")
+    while hi > split and abs(column[hi - 1] - q) > t:
+        hi = np.searchsorted(column, column[hi - 1], side="left")
+    return lo, hi
+
+
+def _window_covers(
+    values: np.ndarray,
+    splits: np.ndarray,
+    query: np.ndarray,
+    eps: float,
+    t: float,
+) -> bool:
+    """True if every attribute with ``|value - q_j| <= t`` lies in the
+    round window ``[q_j - eps, q_j + eps]``."""
+    d, c = values.shape
+    down, up = _walk_lengths(values, splits, query, t)
+    rows = np.arange(d)
+    lowest = values[rows, np.clip(splits - down, 0, c - 1)]
+    highest = values[rows, np.clip(splits + up - 1, 0, c - 1)]
+    return bool(
+        np.all(
+            ((down == 0) | (lowest >= query - eps))
+            & ((up == 0) | (highest <= query + eps))
+        )
+    )
+
+
+def _hits(
+    ids: np.ndarray, lo: np.ndarray, hi: np.ndarray, c: int
+) -> np.ndarray:
+    """Per-point count of sorted positions ``[lo_j, hi_j)`` over dimensions."""
+    counts = np.zeros(c, dtype=np.int64)
+    for j in range(ids.shape[0]):
+        np.add.at(counts, ids[j, lo[j]:hi[j]], 1)
+    return counts
+
+
+def _slot_pops(
+    values: np.ndarray,
+    ids: np.ndarray,
+    splits: np.ndarray,
+    query: np.ndarray,
+    stop: Tuple,
+) -> np.ndarray:
+    """Pops per slot once the key ``stop`` has been popped.
+
+    Slots before ``stop``'s pop every attribute up to its difference,
+    slots after it only those strictly below; ``stop``'s own slot pops
+    up to its walk position.
+    """
+    pid, dif, slot, value = stop
+    d = values.shape[0]
+    through = np.stack(_walk_lengths(values, splits, query, dif), axis=1)
+    below = np.stack(
+        _walk_lengths(values, splits, query, np.nextafter(dif, -np.inf)), axis=1
+    )
+    # (d, 2) rows flatten to slot order 2j (down), 2j + 1 (up)
+    pops = np.where(np.arange(2 * d) < slot, through.ravel(), below.ravel())
+    j = slot // 2
+    lo = np.searchsorted(values[j], value, side="left")
+    hi = np.searchsorted(values[j], value, side="right")
+    position = lo + np.searchsorted(ids[j, lo:hi], pid)
+    pops[slot] = position - splits[j] + 1 if slot % 2 else splits[j] - position
+    return pops

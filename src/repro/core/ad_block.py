@@ -1,10 +1,11 @@
 """Block-AD: a vectorised variant of the AD algorithm.
 
-The reference :class:`~repro.core.ad.ADEngine` consumes attributes one at
-a time through a heap, exactly like the paper's Fig. 4/6 — provably
-optimal in attributes retrieved, but interpreter-bound in pure Python.
-``BlockADEngine`` trades a *bounded* amount of extra attribute retrieval
-for numpy speed:
+The reference :class:`~repro.core.ad.ADEngine` reproduces the paper's
+Fig. 4/6 heap, one attribute per pop — provably optimal in attributes
+retrieved — by computing the heap's pop prefix with numpy on top of the
+window growth below (:func:`grow_windows`), so its answers and counters
+stay the heap loop's.  ``BlockADEngine`` trades a *bounded* amount of
+extra attribute retrieval for a cheaper finish:
 
 1. Grow a symmetric difference threshold ``eps`` (exponentially) and, per
    dimension, take the whole window of attributes within ``eps`` of the
@@ -28,7 +29,7 @@ small constant factor of optimal.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,15 +39,15 @@ from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_freque
 
 __all__ = ["BlockADEngine"]
 
+#: bounds on the adaptive growth multiplier applied between rounds
+MIN_GROWTH = 1.25
+MAX_GROWTH = 4.0
+
 
 class BlockADEngine:
     """Vectorised epsilon-stepping AD search (see module docstring)."""
 
     name = "block-ad"
-
-    #: bounds on the adaptive growth multiplier applied between rounds
-    MIN_GROWTH = 1.25
-    MAX_GROWTH = 4.0
 
     def __init__(
         self,
@@ -183,29 +184,22 @@ class BlockADEngine:
         c, d = self._columns.cardinality, self._columns.dimensionality
         spans = self._spans
         if spans is None:
-            history, attributes, probes = self._grow_windows(query, k, n1)
+            growth = grow_windows(self._columns, query, k, n0, n1)
         else:
             with spans.span("window_grow"):
-                history, attributes, probes = self._grow_windows(query, k, n1)
+                growth = grow_windows(self._columns, query, k, n0, n1, spans)
                 spans.annotate(
-                    rounds=len(history), window_attributes=int(attributes)
+                    rounds=growth.rounds,
+                    window_attributes=int(growth.attributes),
                 )
 
         # Candidate set: every point that can belong to the k-n-match set
-        # of some n in [n0, n1].  A member's n-match difference is at
-        # most the k-th smallest n-match difference, which is at most the
-        # smallest tried eps at which k points matched in >= n windows —
-        # so it must itself match in >= n windows at that eps.  Using the
-        # earliest sufficient round per n keeps the candidate set tight
-        # for small n, where the final (largest) eps would admit nearly
-        # everything.
+        # of some n in [n0, n1] (see candidate_mask).
         if spans is None:
-            candidates, profiles = self._refine(query, k, n0, n1, history, c)
+            candidates, profiles = self._refine(query, growth)
         else:
             with spans.span("refine"):
-                candidates, profiles = self._refine(
-                    query, k, n0, n1, history, c
-                )
+                candidates, profiles = self._refine(query, growth)
                 spans.annotate(candidates=int(candidates.shape[0]))
 
         if spans is None:
@@ -218,9 +212,11 @@ class BlockADEngine:
                 )
                 chosen, frequencies = rank_by_frequency(answer_sets, k)
         stats = SearchStats(
-            attributes_retrieved=int(attributes + candidates.shape[0] * d),
+            attributes_retrieved=int(
+                growth.attributes + candidates.shape[0] * d
+            ),
             total_attributes=c * d,
-            binary_search_probes=int(probes),
+            binary_search_probes=int(growth.probes),
             candidates_refined=int(candidates.shape[0]),
         )
         return FrequentMatchResult(
@@ -233,26 +229,10 @@ class BlockADEngine:
         )
 
     def _refine(
-        self,
-        query: np.ndarray,
-        k: int,
-        n0: int,
-        n1: int,
-        history: List[np.ndarray],
-        c: int,
+        self, query: np.ndarray, growth: WindowGrowth
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate ids and their sorted exact difference profiles."""
-        candidate_mask = np.zeros(c, dtype=bool)
-        for n in range(n0, n1 + 1):
-            for counts in history:
-                if int(np.count_nonzero(counts >= n)) >= k:
-                    candidate_mask |= counts >= n
-                    break
-            else:
-                # Fewer than k points ever matched in >= n windows (only
-                # possible when the whole database was consumed).
-                candidate_mask[:] = True
-        candidates = np.flatnonzero(candidate_mask)
+        candidates = np.flatnonzero(candidate_mask(growth))
         data = self._columns.data
         profiles = np.sort(np.abs(data[candidates] - query), axis=1)
         return candidates, profiles
@@ -273,121 +253,168 @@ class BlockADEngine:
             answer_sets[n] = [int(candidates[i]) for i in order[:k]]
         return answer_sets
 
-    # ------------------------------------------------------------------
-    def _grow_windows(
-        self, query: np.ndarray, k: int, n1: int
-    ) -> Tuple[List[np.ndarray], int, int]:
-        """Grow ``eps`` until >= k points match in >= n1 windows.
 
-        Returns ``(per-round count history, attributes consumed at the
-        final eps, binary-search probe count)``.  The history (counts at
-        each tried eps, ascending) drives the per-n candidate pruning.
-        """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        # Hoist the per-dimension sorted arrays once per query: the views
-        # are immutable for the lifetime of the build, and re-fetching
-        # them every epsilon round is measurable on high-round queries.
-        values = [self._columns.column_values(j) for j in range(d)]
-        ids = [self._columns.column_ids(j) for j in range(d)]
-        eps = self._initial_epsilon(query, k, n1, values)
-        probes = d  # the locate_all pass inside _initial_epsilon
-        history: List[np.ndarray] = []
-        spans = self._spans
-        while True:
-            probes += 2 * d
-            if spans is None:
-                counts, attributes = self._window_counts(
-                    query, eps, values, ids
+# ----------------------------------------------------------------------
+# window growth, shared with the AD engine's pop-prefix kernel
+# ----------------------------------------------------------------------
+class WindowGrowth(NamedTuple):
+    """What :func:`grow_windows` found, round by round."""
+
+    #: per n in ``[n0, n1]``: ``(eps, counts)`` of the earliest round at
+    #: which >= k points matched in >= n windows
+    first: Dict[int, Tuple[float, np.ndarray]]
+    rounds: int
+    #: attributes inside the final round's windows
+    attributes: int
+    probes: int
+
+
+def grow_windows(
+    columns: SortedColumns,
+    query: np.ndarray,
+    k: int,
+    n0: int,
+    n1: int,
+    spans: Optional[object] = None,
+) -> WindowGrowth:
+    """Grow ``eps`` until >= k points match in >= n1 windows.
+
+    A round's window in dimension ``j`` is every attribute in
+    ``[q_j - eps, q_j + eps]`` (two binary searches), and its counts
+    are each point's number of windows.  Only the rounds some n in
+    ``[n0, n1]`` first becomes sufficient at are kept (see
+    :func:`candidate_mask`), so memory does not grow with the round
+    count.
+    """
+    c, d = columns.cardinality, columns.dimensionality
+    # Hoist the per-dimension sorted arrays once per query: the views
+    # are immutable for the lifetime of the build, and re-fetching
+    # them every epsilon round is measurable on high-round queries.
+    values = [columns.column_values(j) for j in range(d)]
+    ids = [columns.column_ids(j) for j in range(d)]
+    eps = _initial_epsilon(columns, query, k, n1, values)
+    probes = d  # the locate_all pass inside _initial_epsilon
+    first: Dict[int, Tuple[float, np.ndarray]] = {}
+    rounds = 0
+    while True:
+        probes += 2 * d
+        rounds += 1
+        if spans is None:
+            counts, attributes = _window_counts(c, query, eps, values, ids)
+        else:
+            with spans.span("round", eps=float(eps)):
+                counts, attributes = _window_counts(
+                    c, query, eps, values, ids
                 )
-            else:
-                with spans.span("round", eps=float(eps)):
-                    counts, attributes = self._window_counts(
-                        query, eps, values, ids
-                    )
-                    spans.annotate(window_attributes=int(attributes))
-            history.append(counts)
-            satisfied = int(np.count_nonzero(counts >= n1))
-            if satisfied >= k:
-                return history, attributes, probes
-            if attributes >= c * d:
-                # Whole database consumed; guaranteed to satisfy k <= c.
-                return history, attributes, probes
-            if eps <= 0:
-                eps = self._smallest_positive(query, values)
-                continue
-            # Adaptive growth: the count of points matching in >= n1
-            # dimensions scales roughly like eps^n1 locally, so the
-            # deficit k/satisfied suggests the factor still needed.
-            # Clamping keeps both round count and overshoot bounded.
-            needed = (k / max(satisfied, 0.5)) ** (1.0 / n1)
-            eps *= min(self.MAX_GROWTH, max(self.MIN_GROWTH, needed))
+                spans.annotate(window_attributes=int(attributes))
+        # Sufficiency is monotone in both eps and n: stop at the first
+        # n still short of k points.
+        for n in range(n0 + len(first), n1 + 1):
+            if int(np.count_nonzero(counts >= n)) < k:
+                break
+            first[n] = (eps, counts)
+        satisfied = int(np.count_nonzero(counts >= n1))
+        if satisfied >= k or attributes >= c * d:
+            # A whole-database round has every count at d, so it too has
+            # recorded every n (k <= c).
+            return WindowGrowth(first, rounds, attributes, probes)
+        if eps <= 0:
+            eps = smallest_positive(query, values)
+            continue
+        # Adaptive growth: the count of points matching in >= n1
+        # dimensions scales roughly like eps^n1 locally, so the
+        # deficit k/satisfied suggests the factor still needed.
+        # Clamping keeps both round count and overshoot bounded.
+        needed = (k / max(satisfied, 0.5)) ** (1.0 / n1)
+        eps *= min(MAX_GROWTH, max(MIN_GROWTH, needed))
 
-    def _window_counts(
-        self,
-        query: np.ndarray,
-        eps: float,
-        values: List[np.ndarray],
-        ids: List[np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Per-point count of dimensions within ``eps`` (inclusive).
 
-        ``values``/``ids`` are the hoisted per-dimension arrays; the
-        ``attributes`` accounting (window sizes at this ``eps``) is
-        unchanged by the hoist.
-        """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        counts = np.zeros(c, dtype=np.int64)
-        attributes = 0
-        for j in range(d):
-            lo = np.searchsorted(values[j], query[j] - eps, side="left")
-            hi = np.searchsorted(values[j], query[j] + eps, side="right")
-            if hi > lo:
-                np.add.at(counts, ids[j][lo:hi], 1)
-                attributes += int(hi - lo)
-        return counts, attributes
+def candidate_mask(growth: WindowGrowth) -> np.ndarray:
+    """Every point that can belong to the k-n-match set of some n.
 
-    def _initial_epsilon(
-        self, query: np.ndarray, k: int, n1: int, values: List[np.ndarray]
-    ) -> float:
-        """A cheap starting threshold.
+    A k-n-match member's n-match difference is at most the k-th
+    smallest n-match difference, which is at most the smallest tried
+    eps at which k points matched in >= n windows — so it must itself
+    match in >= n windows at that eps.  Using the earliest sufficient
+    round per n keeps the candidate set tight for small n, where the
+    final (largest) eps would admit nearly everything.
+    """
+    return np.logical_or.reduce(
+        [counts >= n for n, (_, counts) in growth.first.items()]
+    )
 
-        Looks at the ``m``-th closest attribute per dimension where
-        ``m * d`` roughly covers the ``k * n1`` window hits a successful
-        round needs, and starts from the *smallest* such per-dimension
-        difference so the first round under-shoots rather than
-        over-shoots.
-        """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        m = min(c, max(1, -(-k * n1 // d)))  # ceil(k*n1/d)
-        splits = self._columns.locate_all(query)
-        best = np.inf
-        for j in range(d):
-            lo = max(0, splits[j] - m)
-            hi = min(c, splits[j] + m)
-            window = np.abs(values[j][lo:hi] - query[j])
-            if window.size >= m:
-                candidate = float(np.partition(window, m - 1)[m - 1])
-            elif window.size:
-                candidate = float(window.max())
-            else:  # pragma: no cover - c >= 1 makes windows non-empty
-                candidate = 0.0
-            best = min(best, candidate)
-        if np.isfinite(best) and best > 0:
-            return best
-        return self._smallest_positive(query, values)
 
-    def _smallest_positive(
-        self, query: np.ndarray, values: List[np.ndarray]
-    ) -> float:
-        """Fallback threshold when every nearest difference is zero."""
-        d = self._columns.dimensionality
-        smallest = np.inf
-        for j in range(d):
-            deltas = np.abs(values[j] - query[j])
-            positive = deltas[deltas > 0]
-            if positive.size:
-                smallest = min(smallest, float(positive.min()))
-        if not np.isfinite(smallest):
-            # Entire database equals the query in every dimension.
-            return 1.0
-        return smallest
+def _window_counts(
+    c: int,
+    query: np.ndarray,
+    eps: float,
+    values: List[np.ndarray],
+    ids: List[np.ndarray],
+) -> Tuple[np.ndarray, int]:
+    """Per-point count of dimensions within ``eps`` (inclusive).
+
+    ``values``/``ids`` are the hoisted per-dimension arrays; the
+    ``attributes`` accounting (window sizes at this ``eps``) is
+    unchanged by the hoist.
+    """
+    counts = np.zeros(c, dtype=np.int64)
+    attributes = 0
+    lows = query - eps
+    highs = query + eps
+    for j in range(len(values)):
+        # the ndarray method skips np.searchsorted's dispatch overhead
+        lo = values[j].searchsorted(lows[j], side="left")
+        hi = values[j].searchsorted(highs[j], side="right")
+        if hi > lo:
+            np.add.at(counts, ids[j][lo:hi], 1)
+            attributes += int(hi - lo)
+    return counts, attributes
+
+
+def _initial_epsilon(
+    columns: SortedColumns,
+    query: np.ndarray,
+    k: int,
+    n1: int,
+    values: List[np.ndarray],
+) -> float:
+    """A cheap starting threshold.
+
+    Looks at the ``m``-th closest attribute per dimension where
+    ``m * d`` roughly covers the ``k * n1`` window hits a successful
+    round needs, and starts from the *smallest* such per-dimension
+    difference so the first round under-shoots rather than
+    over-shoots.
+    """
+    c, d = columns.cardinality, columns.dimensionality
+    m = min(c, max(1, -(-k * n1 // d)))  # ceil(k*n1/d)
+    splits = columns.locate_all(query)
+    best = np.inf
+    for j in range(d):
+        lo = max(0, splits[j] - m)
+        hi = min(c, splits[j] + m)
+        window = np.abs(values[j][lo:hi] - query[j])
+        if window.size >= m:
+            candidate = float(np.partition(window, m - 1)[m - 1])
+        elif window.size:
+            candidate = float(window.max())
+        else:  # pragma: no cover - c >= 1 makes windows non-empty
+            candidate = 0.0
+        best = min(best, candidate)
+    if np.isfinite(best) and best > 0:
+        return best
+    return smallest_positive(query, values)
+
+
+def smallest_positive(query: np.ndarray, values: List[np.ndarray]) -> float:
+    """Fallback threshold when every nearest difference is zero."""
+    smallest = np.inf
+    for j in range(len(values)):
+        deltas = np.abs(values[j] - query[j])
+        positive = deltas[deltas > 0]
+        if positive.size:
+            smallest = min(smallest, float(positive.min()))
+    if not np.isfinite(smallest):
+        # Entire database equals the query in every dimension.
+        return 1.0
+    return smallest

@@ -1,13 +1,20 @@
 """The engine-independent consumption loop of the AD algorithm.
 
-Both the in-memory AD engine (Fig. 4/6 over in-memory sorted columns) and
-the disk AD engine (Sec. 4.1 over paged column files) consume attributes
-from an ascending-difference frontier and watch appearance counts.  The
-loop itself is identical; only the frontier differs.  Keeping it here in
-one place guarantees the two engines implement the same algorithm.
+The disk AD engine (Sec. 4.1 over paged column files) and the IR
+middleware consume attributes from an ascending-difference frontier and
+watch appearance counts.  The loop itself is identical; only the
+frontier differs.
 
 A *frontier* is any object with ``pop() -> (pid, slot, diff) | None``
-yielding attributes in globally ascending difference order.
+yielding attributes in globally ascending difference order.  Over
+sorted columns the frontier pops a stable sort of all attributes by
+(difference, slot, position along the slot's walk), since a slot's
+difference never decreases along its walk.  The in-memory
+:class:`~repro.core.ad.ADEngine` computes the prefix of that order this
+loop would consume — same ids, differences and counters — with numpy
+(:func:`repro.core.ad.pop_prefix`); the loop here over
+``AscendingDifferenceFrontier(make_cursors(...))`` is its reference in
+the tests.
 """
 
 from __future__ import annotations

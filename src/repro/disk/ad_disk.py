@@ -1,11 +1,12 @@
 """Disk-based AD engine (Sec. 4.1 of the paper).
 
-Runs the very same FKNMatchAD consumption loop as the in-memory engine
-(:mod:`repro.core.matchloop`), but over paged sorted-column files: each
-attribute comes from a page-buffered disk cursor, and every page the walk
-crosses is recorded as sequential or random by the pager.  Results carry
-both the attribute counters and the page counters, plus a simulated
-response time under a :class:`~repro.storage.DiskModel`.
+Runs the FKNMatchAD heap consumption loop (:mod:`repro.core.matchloop`)
+whose pop prefix the in-memory engine computes with numpy, but over
+paged sorted-column files: each attribute comes from a page-buffered
+disk cursor, and every page the walk crosses is recorded as sequential
+or random by the pager.  Results carry both the attribute counters and
+the page counters, plus a simulated response time under a
+:class:`~repro.storage.DiskModel`.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ __all__ = [
 #: so dashboards and tests can rely on one spelling per phase.  See the
 #: phase table in ``docs/observability.md``.
 PHASE_NAMES: Tuple[str, ...] = (
-    "cursor_init",    # build the 2d direction cursors / frontier heap
-    "heap_consume",   # the ascending-difference pop loop (Fig. 4/6 body)
+    "cursor_init",    # locate the query / build the direction cursors
+    "heap_consume",   # the ascending-difference pop prefix (Fig. 4/6 body)
     "round",          # one epsilon round of a block engine
     "window_grow",    # the whole window-growth loop (all rounds)
     "refine",         # exact refinement of window candidates

@@ -39,7 +39,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import validation
-from ..core.ad_block import BlockADEngine
+from ..core.ad_block import (
+    MAX_GROWTH,
+    MIN_GROWTH,
+    BlockADEngine,
+    smallest_positive,
+)
 from ..core.types import (
     FrequentMatchResult,
     MatchResult,
@@ -55,11 +60,6 @@ class BatchBlockADEngine:
     """Lock-step vectorised Block-AD over a whole query batch."""
 
     name = "batch-block-ad"
-
-    #: growth clamps — identical to :class:`BlockADEngine` so the
-    #: epsilon schedules (and hence the stats) match the serial engine.
-    MIN_GROWTH = BlockADEngine.MIN_GROWTH
-    MAX_GROWTH = BlockADEngine.MAX_GROWTH
 
     #: default lock-step group size.  Each in-flight query owns a
     #: ``c``-element count row that the scatter and threshold passes
@@ -484,7 +484,7 @@ class BatchBlockADEngine:
                 sat_n1 = sat if lev == n1 else int(np.count_nonzero(row >= n1))
                 needed = (k / max(sat_n1, 0.5)) ** (1.0 / n1)
                 eps[gi] = eps[gi] * min(
-                    self.MAX_GROWTH, max(self.MIN_GROWTH, needed)
+                    MAX_GROWTH, max(MIN_GROWTH, needed)
                 )
                 still.append(pos)
 
@@ -499,7 +499,7 @@ class BatchBlockADEngine:
         return masks, final_attrs, rounds
 
     def _initial_epsilons(self, queries: np.ndarray, k: int, n1: int) -> np.ndarray:
-        """Vectorised :meth:`BlockADEngine._initial_epsilon` for a batch.
+        """Block-AD's initial epsilon, vectorised over a batch.
 
         Per dimension, gathers the ``2m`` attributes around every query's
         split position (inf-padded at the array edges) and takes the
@@ -533,5 +533,5 @@ class BatchBlockADEngine:
         if fallback.any():
             values = [self._columns.column_values(j) for j in range(d)]
             for i in np.flatnonzero(fallback):
-                eps[i] = self._serial._smallest_positive(queries[i], values)
+                eps[i] = smallest_positive(queries[i], values)
         return eps

@@ -13,13 +13,20 @@ from .model import (
     plan_model_path,
     save_plan_model,
 )
-from .planner import FALLBACK_ENGINE, PLAN_KINDS, QueryPlan, QueryPlanner
+from .planner import (
+    DECISION_CACHE_SIZE,
+    FALLBACK_ENGINE,
+    PLAN_KINDS,
+    QueryPlan,
+    QueryPlanner,
+)
 
 __all__ = [
     "CostCurve",
     "PlanModel",
     "QueryPlan",
     "QueryPlanner",
+    "DECISION_CACHE_SIZE",
     "FALLBACK_ENGINE",
     "PLAN_KINDS",
     "plan_model_path",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -70,6 +71,11 @@ _BATCH_CANDIDATES = ("batch-block-ad", "block-ad", "naive")
 #: as candidates — and *only* then: an exact plan never resolves to an
 #: approximate engine, the caller must declare ``mode="approx"`` first.
 PLAN_MODES = ("exact", "approx")
+
+#: Decisions kept per planner, least recently used dropped first.  The
+#: key carries client-supplied ``k``, n-range and ``target_recall``, so
+#: the cache must be bounded; real workloads reuse a handful of keys.
+DECISION_CACHE_SIZE = 256
 
 #: Queries sampled for the advisor estimate and per-engine probes; small
 #: because decisions are cached per workload and refined online.
@@ -149,7 +155,7 @@ class QueryPlanner:
         # where the span collector lives: the sharded facade plans over
         # one shard's MatchDatabase but traces on the facade's collector.
         self._spans_owner = spans_owner if spans_owner is not None else db
-        self._decisions: Dict[Tuple, QueryPlan] = {}
+        self._decisions: "OrderedDict[Tuple, QueryPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self._last_plan: Optional[QueryPlan] = None
 
@@ -212,6 +218,8 @@ class QueryPlanner:
         key = (kind, k, n0, n1, bool(batched), mode, target_recall)
         with self._lock:
             cached = self._decisions.get(key)
+            if cached is not None:
+                self._decisions.move_to_end(key)
         if cached is not None:
             self._last_plan = cached
             return cached
@@ -230,8 +238,10 @@ class QueryPlanner:
                     predicted_ms=round(plan.predicted_seconds * 1e3, 3),
                 )
         with self._lock:
-            self._decisions.setdefault(key, plan)
-            plan = self._decisions[key]
+            plan = self._decisions.setdefault(key, plan)
+            self._decisions.move_to_end(key)
+            if len(self._decisions) > DECISION_CACHE_SIZE:
+                self._decisions.popitem(last=False)
         self._last_plan = plan
         return plan
 
