@@ -143,7 +143,8 @@ def check_instrumentation(repeats: int, seed: int = 7) -> Dict:
     3. the uninstrumented path pays no material overhead versus either
        instrumented path being disabled — the plain run must not be
        slower than the metered or span-traced one beyond timing noise
-       (the ``None``-check guard discipline in the hot paths).
+       (metrics guarded by ``is None``, spans run under the no-op
+       ``NULL_SPANS`` collector).
     """
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 1.0, size=(5_000, 8))

@@ -3,9 +3,10 @@
 Times the same k-n-match workload through identical engines in three
 modes — no instrumentation, a :class:`~repro.obs.MetricsRegistry`
 installed, and a :class:`~repro.obs.SpanCollector` installed — for both
-the heap ``ad`` engine and the vectorised ``block-ad`` engine (the two
-span-densest hot paths: per-query cursor/heap phases and per-round
-window phases respectively).
+the ``ad`` engine (the paper's AD order, computed with numpy) and the
+vectorised ``block-ad`` engine (the two span-densest hot paths:
+per-query cursor/heap phases and per-round window phases
+respectively).
 
 A second matrix covers the serving layer end to end
 (:class:`~repro.serve.ServeApp.handle`, no sockets) in three modes —
@@ -20,8 +21,9 @@ Two invariants are asserted before anything is reported:
 * answers are bit-identical across all modes (response *bytes*, for the
   serve matrix), and
 * the uninstrumented run is not slower than an instrumented one beyond
-  timing noise (the ``None``-check guard discipline: disabled
-  observability must cost nothing).
+  timing noise (disabled metrics cost one ``is None`` test, disabled
+  spans run under the no-op ``NULL_SPANS`` collector: neither may show
+  up as overhead).
 
 Results are written under the shared bench JSON schema (every leaf is a
 ``queries_per_second`` dict), so ``benchmarks/regress.py`` can gate

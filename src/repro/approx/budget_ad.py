@@ -29,19 +29,17 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core import validation
 from ..core.ad_block import BlockADEngine
+from ..core.anytime import consume_frontier
 from ..core.types import SearchStats
 from ..errors import ValidationError
-from ..sorted_lists import (
-    AscendingDifferenceFrontier,
-    SortedColumns,
-    make_cursors,
-)
+from ..obs.spans import NULL_SPANS
+from ..sorted_lists import SortedColumns
 from .params import (
     validate_budget,
     validate_candidate_multiplier,
@@ -168,14 +166,9 @@ class BudgetADEngine:
     # ------------------------------------------------------------------
     def _delegate_exact(self, query, k, n, budget) -> ApproxResult:
         """Unbudgeted answer: exact block-AD, certified in full."""
-        spans = self._spans
-        if spans is None:
+        spans = self._spans or NULL_SPANS
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n, delegated="block-ad"):
             exact = self._exact().k_n_match(query, k, n)
-        else:
-            with spans.span(
-                f"{self.name}/k_n_match", k=k, n=n, delegated="block-ad"
-            ):
-                exact = self._exact().k_n_match(query, k, n)
         return ApproxResult(
             ids=list(exact.ids),
             differences=list(exact.differences),
@@ -191,117 +184,83 @@ class BudgetADEngine:
         )
 
     def _search(self, query, k, n, budget, multiplier) -> ApproxResult:
-        spans = self._spans
-        if spans is None:
-            return self._search_impl(query, k, n, budget, multiplier)
+        d = self._columns.dimensionality
+        spans = self._spans or NULL_SPANS
         with spans.span(f"{self.name}/k_n_match", k=k, n=n, budget=budget):
-            return self._search_impl(query, k, n, budget, multiplier)
-
-    def _search_impl(self, query, k, n, budget, multiplier) -> ApproxResult:
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        spans = self._spans
-
-        # Phase 1 (approx_filter): spend the budget on the AD frontier.
-        frontier = AscendingDifferenceFrontier(
-            make_cursors(self._columns, query)
-        )
-        appear = np.zeros(c, dtype=np.int32)
-        prefix_ids: List[int] = []
-        prefix_diffs: List[float] = []
-
-        def _consume() -> None:
-            while len(prefix_ids) < k:
-                if frontier.attributes_retrieved >= budget:
-                    break
-                popped = frontier.pop()
-                if popped is None:
-                    break
-                pid, _slot, dif = popped
-                appear[pid] += 1
-                if appear[pid] == n:
-                    prefix_ids.append(pid)
-                    prefix_diffs.append(dif)
-
-        if spans is None:
-            _consume()
-        else:
+            # Phase 1 (approx_filter): spend the budget on the AD frontier.
             with spans.span("approx_filter", budget=budget):
-                _consume()
+                frontier, appear, prefix_ids, prefix_diffs = consume_frontier(
+                    self._columns, query, k, n, budget
+                )
                 spans.annotate(
                     attributes=int(frontier.attributes_retrieved),
                     verified=len(prefix_ids),
                 )
-        bound = frontier.peek_difference()  # None <=> frontier exhausted
+            bound = frontier.peek_difference()  # None <=> frontier exhausted
 
-        # Phase 2 (approx_rerank): exactly re-rank the most-seen partial
-        # points.  Skipped when the prefix already holds k answers.
-        chosen = np.empty(0, dtype=np.int64)
-        refined_diffs = np.empty(0, dtype=np.float64)
-        want = max(0, multiplier * k - len(prefix_ids))
-        if want and len(prefix_ids) < k:
-            partial = np.flatnonzero((appear > 0) & (appear < n))
-            if partial.size:
-
-                def _rerank():
-                    order = np.lexsort((partial, -appear[partial]))
-                    counts = appear[partial][order]
-                    keep = order.size
-                    if keep > want:
-                        # Never cut inside an appearance-count tie: the
-                        # pid tie-break is arbitrary, and dropping a tied
-                        # candidate can make a *larger* budget return a
-                        # worse answer (certified recall must be
-                        # monotone in budget).
-                        cutoff = counts[want - 1]
-                        keep = int(
-                            np.searchsorted(-counts, -cutoff, side="right")
-                        )
-                    picked = partial[order[:keep]].astype(np.int64)
-                    rows = self._columns.data[picked]
-                    diffs = np.partition(
-                        np.abs(rows - query), n - 1, axis=1
-                    )[:, n - 1]
-                    return picked, diffs
-
-                if spans is None:
-                    chosen, refined_diffs = _rerank()
-                else:
+            # Phase 2 (approx_rerank): exactly re-rank the most-seen
+            # partial points.  Skipped when the prefix already holds k
+            # answers.
+            chosen = np.empty(0, dtype=np.int64)
+            refined_diffs = np.empty(0, dtype=np.float64)
+            want = max(0, multiplier * k - len(prefix_ids))
+            if want and len(prefix_ids) < k:
+                partial = np.flatnonzero((appear > 0) & (appear < n))
+                if partial.size:
                     with spans.span("approx_rerank"):
-                        chosen, refined_diffs = _rerank()
+                        order = np.lexsort((partial, -appear[partial]))
+                        counts = appear[partial][order]
+                        keep = order.size
+                        if keep > want:
+                            # Never cut inside an appearance-count tie:
+                            # the pid tie-break is arbitrary, and dropping
+                            # a tied candidate can make a *larger* budget
+                            # return a worse answer (certified recall must
+                            # be monotone in budget).
+                            cutoff = counts[want - 1]
+                            keep = int(
+                                np.searchsorted(-counts, -cutoff, side="right")
+                            )
+                        chosen = partial[order[:keep]].astype(np.int64)
+                        refined_diffs = np.partition(
+                            np.abs(self._columns.data[chosen] - query),
+                            n - 1,
+                            axis=1,
+                        )[:, n - 1]
                         spans.annotate(candidates=int(chosen.size))
 
-        # Best k of both pools, canonical (difference, id) order.
-        all_ids = np.concatenate(
-            [np.asarray(prefix_ids, dtype=np.int64), chosen]
-        )
-        all_diffs = np.concatenate(
-            [np.asarray(prefix_diffs, dtype=np.float64), refined_diffs]
-        )
-        order = np.lexsort((all_ids, all_diffs))[:k]
-        out_ids = all_ids[order]
-        out_diffs = all_diffs[order]
+            # Best k of both pools, canonical (difference, id) order.
+            all_ids = np.concatenate(
+                [np.asarray(prefix_ids, dtype=np.int64), chosen]
+            )
+            all_diffs = np.concatenate(
+                [np.asarray(prefix_diffs, dtype=np.float64), refined_diffs]
+            )
+            order = np.lexsort((all_ids, all_diffs))[:k]
+            out_ids = all_ids[order]
+            out_diffs = all_diffs[order]
 
-        limit = np.inf if bound is None else bound
-        certified_count = int(np.count_nonzero(out_diffs <= limit))
+            limit = np.inf if bound is None else bound
+            certified_count = int(np.count_nonzero(out_diffs <= limit))
 
-        stats = SearchStats(
-            attributes_retrieved=frontier.attributes_retrieved
-            + int(chosen.size) * d,
-            total_attributes=self._columns.total_attributes,
-            heap_pops=frontier.pops,
-            binary_search_probes=d,
-            candidates_refined=int(chosen.size),
-        )
-        return ApproxResult(
-            ids=[int(pid) for pid in out_ids],
-            differences=[float(dif) for dif in out_diffs],
-            k=k,
-            n=n,
-            engine=self.name,
-            certified_recall=certified_count / k,
-            certified_count=certified_count,
-            unseen_lower_bound=bound,
-            exact=certified_count == k,
-            budget=budget,
-            stats=stats,
-        )
+            stats = SearchStats(
+                attributes_retrieved=frontier.attributes_retrieved
+                + int(chosen.size) * d,
+                total_attributes=self._columns.total_attributes,
+                heap_pops=frontier.pops,
+                binary_search_probes=d,
+                candidates_refined=int(chosen.size),
+            )
+            return ApproxResult(
+                ids=[int(pid) for pid in out_ids],
+                differences=[float(dif) for dif in out_diffs],
+                k=k,
+                n=n,
+                engine=self.name,
+                certified_recall=certified_count / k,
+                certified_count=certified_count,
+                unseen_lower_bound=bound,
+                exact=certified_count == k,
+                budget=budget,
+                stats=stats,
+            )

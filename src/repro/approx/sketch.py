@@ -43,6 +43,7 @@ from ..core import validation
 from ..core.advisor import sample_row_ids
 from ..core.types import SearchStats
 from ..errors import ValidationError
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from .params import (
     multiplier_from_target_recall,
@@ -232,14 +233,9 @@ class PivotSketchEngine:
             count = min(c, DEFAULT_CANDIDATE_MULTIPLIER * k)
 
         started = time.perf_counter()
-        spans = self._spans
-        if spans is None:
-            result = self._search_impl(query, k, n, count, budget)
-        else:
-            with spans.span(
-                f"{self.name}/k_n_match", k=k, n=n, candidates=count
-            ):
-                result = self._search_impl(query, k, n, count, budget)
+        spans = self._spans or NULL_SPANS
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n, candidates=count):
+            result = self._search_impl(query, k, n, count, budget, spans)
         if self._metrics is not None:
             from ..obs import observe_approx_query
 
@@ -254,56 +250,37 @@ class PivotSketchEngine:
             )
         return result
 
-    def _search_impl(self, query, k, n, count, budget) -> ApproxResult:
+    def _search_impl(self, query, k, n, count, budget, spans) -> ApproxResult:
         c, d = self._columns.cardinality, self._columns.dimensionality
-        spans = self._spans
         index = self.index
         p = index.pivot_count
 
         # Phase 1 (approx_filter): footrule-score every point against
         # the query's pivot permutation; pick the best `count` by the
         # deterministic (score, id) composite key.
-        def _filter():
+        with spans.span("approx_filter", pivots=p):
             if count >= c:
-                return np.arange(c, dtype=np.int64)
-            qranks = index.query_ranks(query)
-            scores = np.abs(
-                index.ranks.astype(np.int64) - qranks[None, :]
-            ).sum(axis=1)
-            composite = scores * c + np.arange(c, dtype=np.int64)
-            if count == 0:
-                return np.empty(0, dtype=np.int64)
-            return np.argpartition(composite, count - 1)[:count].astype(
-                np.int64
-            )
-
-        if spans is None:
-            candidates = _filter()
-        else:
-            with spans.span("approx_filter", pivots=p):
-                candidates = _filter()
-                spans.annotate(candidates=int(candidates.size))
+                candidates = np.arange(c, dtype=np.int64)
+            elif count == 0:
+                candidates = np.empty(0, dtype=np.int64)
+            else:
+                qranks = index.query_ranks(query)
+                scores = np.abs(
+                    index.ranks.astype(np.int64) - qranks[None, :]
+                ).sum(axis=1)
+                composite = scores * c + np.arange(c, dtype=np.int64)
+                candidates = np.argpartition(composite, count - 1)[
+                    :count
+                ].astype(np.int64)
+            spans.annotate(candidates=int(candidates.size))
 
         # Phase 2 (approx_rerank): exact n-match differences for the
         # candidates, canonical (difference, id) top-k.
-        def _rerank():
-            if candidates.size == 0:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                )
+        with spans.span("approx_rerank"):
             rows = self._columns.data[candidates]
-            diffs = np.partition(np.abs(rows - query), n - 1, axis=1)[
-                :, n - 1
-            ]
+            diffs = np.partition(np.abs(rows - query), n - 1, axis=1)[:, n - 1]
             order = np.lexsort((candidates, diffs))[:k]
-            return candidates[order], diffs[order]
-
-        if spans is None:
-            out_ids, out_diffs = _rerank()
-        else:
-            with spans.span("approx_rerank"):
-                out_ids, out_diffs = _rerank()
+            out_ids, out_diffs = candidates[order], diffs[order]
 
         full_scan = candidates.size >= c
         certified_count = k if full_scan else 0

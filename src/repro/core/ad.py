@@ -51,6 +51,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from . import validation
 from .ad_block import candidate_mask, grow_windows
@@ -69,9 +70,9 @@ class ADEngine:
     record per-query counters, and an optional
     :class:`~repro.obs.SpanCollector` (``spans=``) records phase spans
     (``cursor_init``: the split binary searches; ``heap_consume``: the
-    pop prefix; ``rank``); with neither installed the instrumentation
-    path is a single ``is not None`` branch per query and answers are
-    identical.
+    pop prefix; ``rank``).  With no collector the same phases run under
+    the no-op :data:`~repro.obs.spans.NULL_SPANS`, and answers are
+    identical either way.
     """
 
     name = "ad"
@@ -139,21 +140,17 @@ class ADEngine:
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
-            splits = self._columns.locate_all(query)
-            prefix = pop_prefix(self._columns, query, splits, k, n, n)
-        else:
-            with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-                with spans.span("cursor_init", dimensions=d):
-                    splits = self._columns.locate_all(query)
-                with spans.span("heap_consume"):
-                    prefix = pop_prefix(self._columns, query, splits, k, n, n)
-                    spans.annotate(
-                        heap_pops=prefix.heap_pops,
-                        attributes_retrieved=prefix.attributes_retrieved,
-                    )
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
+            with spans.span("cursor_init", dimensions=d):
+                splits = self._columns.locate_all(query)
+            with spans.span("heap_consume"):
+                prefix = pop_prefix(self._columns, query, splits, k, n, n)
+                spans.annotate(
+                    heap_pops=prefix.heap_pops,
+                    attributes_retrieved=prefix.attributes_retrieved,
+                )
         stats = self._make_stats(prefix)
         if registry is not None:
             from ..obs import observe_query
@@ -195,30 +192,23 @@ class ADEngine:
         )
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         # the untruncated sets are every id the loop completes
         full = not truncate_answer_sets
-        if spans is None:
-            splits = self._columns.locate_all(query)
-            prefix = pop_prefix(self._columns, query, splits, k, n0, n1, full)
-            chosen, frequencies = rank_by_frequency(prefix.sets, k)
-        else:
-            with spans.span(
-                f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1
-            ):
-                with spans.span("cursor_init", dimensions=d):
-                    splits = self._columns.locate_all(query)
-                with spans.span("heap_consume"):
-                    prefix = pop_prefix(
-                        self._columns, query, splits, k, n0, n1, full
-                    )
-                    spans.annotate(
-                        heap_pops=prefix.heap_pops,
-                        attributes_retrieved=prefix.attributes_retrieved,
-                    )
-                with spans.span("rank"):
-                    chosen, frequencies = rank_by_frequency(prefix.sets, k)
+        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
+            with spans.span("cursor_init", dimensions=d):
+                splits = self._columns.locate_all(query)
+            with spans.span("heap_consume"):
+                prefix = pop_prefix(
+                    self._columns, query, splits, k, n0, n1, full
+                )
+                spans.annotate(
+                    heap_pops=prefix.heap_pops,
+                    attributes_retrieved=prefix.attributes_retrieved,
+                )
+            with spans.span("rank"):
+                chosen, frequencies = rank_by_frequency(prefix.sets, k)
         stats = self._make_stats(prefix)
         if registry is not None:
             from ..obs import observe_query

@@ -33,6 +33,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from . import validation
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
@@ -102,30 +103,17 @@ class BlockADEngine:
         c, d = self._columns.cardinality, self._columns.dimensionality
         query, k, n = validation.validate_match_args(query, k, n, c, d)
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
             result = self._frequent_impl(query, k, n, n, keep_answer_sets=True)
-            ids = result.answer_sets[n]
-            data = self._columns.data
-            differences = [
-                float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
-                for pid in ids
-            ]
-        else:
-            with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-                result = self._frequent_impl(
-                    query, k, n, n, keep_answer_sets=True
-                )
-                with spans.span("finalize"):
-                    ids = result.answer_sets[n]
-                    data = self._columns.data
-                    differences = [
-                        float(
-                            np.partition(np.abs(data[pid] - query), n - 1)[n - 1]
-                        )
-                        for pid in ids
-                    ]
+            with spans.span("finalize"):
+                ids = result.answer_sets[n]
+                data = self._columns.data
+                differences = [
+                    float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
+                    for pid in ids
+                ]
         if registry is not None:
             from ..obs import observe_query
 
@@ -150,19 +138,12 @@ class BlockADEngine:
             query, k, n_range, c, d
         )
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
+        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
             result = self._frequent_impl(
                 query, k, n0, n1, keep_answer_sets=keep_answer_sets
             )
-        else:
-            with spans.span(
-                f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1
-            ):
-                result = self._frequent_impl(
-                    query, k, n0, n1, keep_answer_sets=keep_answer_sets
-                )
         if registry is not None:
             from ..obs import observe_query
 
@@ -182,35 +163,23 @@ class BlockADEngine:
     ) -> FrequentMatchResult:
         """The window-growth + refinement body (arguments pre-validated)."""
         c, d = self._columns.cardinality, self._columns.dimensionality
-        spans = self._spans
-        if spans is None:
-            growth = grow_windows(self._columns, query, k, n0, n1)
-        else:
-            with spans.span("window_grow"):
-                growth = grow_windows(self._columns, query, k, n0, n1, spans)
-                spans.annotate(
-                    rounds=growth.rounds,
-                    window_attributes=int(growth.attributes),
-                )
+        spans = self._spans or NULL_SPANS
+        with spans.span("window_grow"):
+            growth = grow_windows(self._columns, query, k, n0, n1, spans)
+            spans.annotate(
+                rounds=growth.rounds,
+                window_attributes=int(growth.attributes),
+            )
 
         # Candidate set: every point that can belong to the k-n-match set
         # of some n in [n0, n1] (see candidate_mask).
-        if spans is None:
+        with spans.span("refine"):
             candidates, profiles = self._refine(query, growth)
-        else:
-            with spans.span("refine"):
-                candidates, profiles = self._refine(query, growth)
-                spans.annotate(candidates=int(candidates.shape[0]))
+            spans.annotate(candidates=int(candidates.shape[0]))
 
-        if spans is None:
+        with spans.span("rank"):
             answer_sets = self._answer_sets(candidates, profiles, k, n0, n1)
             chosen, frequencies = rank_by_frequency(answer_sets, k)
-        else:
-            with spans.span("rank"):
-                answer_sets = self._answer_sets(
-                    candidates, profiles, k, n0, n1
-                )
-                chosen, frequencies = rank_by_frequency(answer_sets, k)
         stats = SearchStats(
             attributes_retrieved=int(
                 growth.attributes + candidates.shape[0] * d
@@ -287,6 +256,7 @@ def grow_windows(
     count.
     """
     c, d = columns.cardinality, columns.dimensionality
+    spans = spans or NULL_SPANS
     # Hoist the per-dimension sorted arrays once per query: the views
     # are immutable for the lifetime of the build, and re-fetching
     # them every epsilon round is measurable on high-round queries.
@@ -299,14 +269,9 @@ def grow_windows(
     while True:
         probes += 2 * d
         rounds += 1
-        if spans is None:
+        with spans.span("round", eps=float(eps)):
             counts, attributes = _window_counts(c, query, eps, values, ids)
-        else:
-            with spans.span("round", eps=float(eps)):
-                counts, attributes = _window_counts(
-                    c, query, eps, values, ids
-                )
-                spans.annotate(window_attributes=int(attributes))
+            spans.annotate(window_attributes=int(attributes))
         # Sufficiency is monotone in both eps and n: stop at the first
         # n still short of k points.
         for n in range(n0 + len(first), n1 + 1):

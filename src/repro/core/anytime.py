@@ -21,7 +21,7 @@ the budget sufficed and whose ``unseen_lower_bound`` certifies the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -30,7 +30,49 @@ from ..sorted_lists import AscendingDifferenceFrontier, SortedColumns, make_curs
 from . import validation
 from .types import SearchStats
 
-__all__ = ["AnytimeADEngine", "AnytimeResult"]
+__all__ = ["AnytimeADEngine", "AnytimeResult", "FrontierPrefix", "consume_frontier"]
+
+
+class FrontierPrefix(NamedTuple):
+    """Where :func:`consume_frontier` stopped, and what it had seen."""
+
+    frontier: AscendingDifferenceFrontier
+    #: per point: how many of its attributes have been popped
+    appear: np.ndarray
+    #: points that completed ``n`` appearances, in completion order
+    ids: List[int]
+    #: each of those points' exact n-match difference
+    differences: List[float]
+
+
+def consume_frontier(
+    columns: SortedColumns,
+    query: np.ndarray,
+    k: int,
+    n: int,
+    budget: Optional[int] = None,
+) -> FrontierPrefix:
+    """Pop the AD frontier until ``k`` points complete ``n`` appearances.
+
+    Stops early once ``budget`` attributes are retrieved (``None``: no
+    budget) or the frontier runs dry.  Arguments are pre-validated.
+    """
+    frontier = AscendingDifferenceFrontier(make_cursors(columns, query))
+    appear = np.zeros(columns.cardinality, dtype=np.int32)
+    ids: List[int] = []
+    differences: List[float] = []
+    while len(ids) < k:
+        if budget is not None and frontier.attributes_retrieved >= budget:
+            break
+        popped = frontier.pop()
+        if popped is None:
+            break
+        pid, _slot, dif = popped
+        appear[pid] += 1
+        if appear[pid] == n:
+            ids.append(pid)
+            differences.append(dif)
+    return FrontierPrefix(frontier, appear, ids, differences)
 
 
 @dataclass
@@ -103,26 +145,9 @@ class AnytimeADEngine:
                 f"attribute_budget must be >= 0; got {attribute_budget}"
             )
 
-        frontier = AscendingDifferenceFrontier(make_cursors(self._columns, query))
-        appear = np.zeros(c, dtype=np.int32)
-        ids: List[int] = []
-        differences: List[float] = []
-
-        while len(ids) < k:
-            if (
-                attribute_budget is not None
-                and frontier.attributes_retrieved >= attribute_budget
-            ):
-                break
-            popped = frontier.pop()
-            if popped is None:
-                break
-            pid, _slot, dif = popped
-            appear[pid] += 1
-            if appear[pid] == n:
-                ids.append(pid)
-                differences.append(dif)
-
+        frontier, _appear, ids, differences = consume_frontier(
+            self._columns, query, k, n, attribute_budget
+        )
         stats = SearchStats(
             attributes_retrieved=frontier.attributes_retrieved,
             total_attributes=self._columns.total_attributes,

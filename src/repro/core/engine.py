@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ValidationError
+from ..obs.trace import build_query_trace
 from ..sorted_lists import SortedColumns
 from . import validation
 from .ad import ADEngine
@@ -407,9 +408,9 @@ class MatchDatabase:
             query, k, n, attribute_budget=attribute_budget
         )
         if trace:
-            result.trace = self._build_trace(
-                self._anytime, "k_n_match", result.k, (result.n, result.n),
-                result.stats, started,
+            result.trace = build_query_trace(
+                self._anytime.name, "k_n_match", result.k, (result.n, result.n),
+                result.stats, started, self.dimensionality, self._spans,
             )
         return result
 
@@ -445,9 +446,9 @@ class MatchDatabase:
             )
             self.planner.record_recall(plan.engine, result.certified_recall)
         if trace:
-            result.trace = self._build_trace(
-                selected, "k_n_match", result.k, (result.n, result.n),
-                result.stats, started,
+            result.trace = build_query_trace(
+                selected.name, "k_n_match", result.k, (result.n, result.n),
+                result.stats, started, self.dimensionality, self._spans,
             )
         return result
 
@@ -577,9 +578,9 @@ class MatchDatabase:
                 time.perf_counter() - started,
             )
         if trace:
-            result.trace = self._build_trace(
-                selected, "k_n_match", result.k, (result.n, result.n),
-                result.stats, started,
+            result.trace = build_query_trace(
+                selected.name, "k_n_match", result.k, (result.n, result.n),
+                result.stats, started, self.dimensionality, self._spans,
             )
         return result
 
@@ -628,30 +629,11 @@ class MatchDatabase:
                 time.perf_counter() - started,
             )
         if trace:
-            result.trace = self._build_trace(
-                selected, "frequent_k_n_match", result.k, result.n_range,
-                result.stats, started,
+            result.trace = build_query_trace(
+                selected.name, "frequent_k_n_match", result.k, result.n_range,
+                result.stats, started, self.dimensionality, self._spans,
             )
         return result
-
-    def _build_trace(self, selected, kind, k, n_range, stats, started):
-        from ..obs import QueryTrace
-
-        spans = self._spans
-        return QueryTrace.from_stats(
-            engine=selected.name,
-            kind=kind,
-            k=k,
-            n_range=n_range,
-            stats=stats,
-            wall_time_seconds=time.perf_counter() - started,
-            dimensionality=self.dimensionality,
-            trace_id=(
-                spans.capture_context("trace_id")
-                if spans is not None
-                else None
-            ),
-        )
 
     def k_n_match_batch(
         self,

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs.spans import NULL_SPANS
 from . import validation
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
 
@@ -81,14 +82,13 @@ class NaiveScanEngine:
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
-            differences, chosen = self._scan(query, k, n, c)
-        else:
-            with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-                differences, chosen = self._scan(query, k, n, c)
-                spans.annotate(points_scanned=c)
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
+            deltas = np.abs(self._data - query)
+            differences = np.partition(deltas, n - 1, axis=1)[:, n - 1]
+            chosen = np.lexsort((np.arange(c), differences))[:k]
+            spans.annotate(points_scanned=c)
         stats = SearchStats(
             attributes_retrieved=c * d,
             total_attributes=c * d,
@@ -109,13 +109,6 @@ class NaiveScanEngine:
             stats=stats,
         )
 
-    def _scan(self, query, k: int, n: int, c: int):
-        """The full-scan body: every point's n-match difference, top k."""
-        deltas = np.abs(self._data - query)
-        differences = np.partition(deltas, n - 1, axis=1)[:, n - 1]
-        order = np.lexsort((np.arange(c), differences))
-        return differences, order[:k]
-
     def frequent_k_n_match(
         self,
         query,
@@ -135,18 +128,17 @@ class NaiveScanEngine:
         )
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
-            answer_sets = self._scan_frequent(query, k, n0, n1, c)
-            chosen, frequencies = rank_by_frequency(answer_sets, k)
-        else:
-            with spans.span(
-                f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1
-            ):
-                answer_sets = self._scan_frequent(query, k, n0, n1, c)
-                with spans.span("rank"):
-                    chosen, frequencies = rank_by_frequency(answer_sets, k)
+        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
+            profiles = np.sort(np.abs(self._data - query), axis=1)
+            ids = np.arange(c)
+            answer_sets: Dict[int, List[int]] = {}
+            for n in range(n0, n1 + 1):
+                order = np.lexsort((ids, profiles[:, n - 1]))
+                answer_sets[n] = [int(i) for i in order[:k]]
+            with spans.span("rank"):
+                chosen, frequencies = rank_by_frequency(answer_sets, k)
         stats = SearchStats(
             attributes_retrieved=c * d,
             total_attributes=c * d,
@@ -167,19 +159,6 @@ class NaiveScanEngine:
             answer_sets=answer_sets if keep_answer_sets else None,
             stats=stats,
         )
-
-    def _scan_frequent(
-        self, query, k: int, n0: int, n1: int, c: int
-    ) -> Dict[int, List[int]]:
-        """One scan of the match profiles; a top-k answer set per n."""
-        profiles = np.sort(np.abs(self._data - query), axis=1)
-        ids = np.arange(c)
-        answer_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            column = profiles[:, n - 1]
-            order = np.lexsort((ids, column))
-            answer_sets[n] = [int(i) for i in order[:k]]
-        return answer_sets
 
 
 def naive_k_n_match(data, query, k: int, n: int) -> MatchResult:

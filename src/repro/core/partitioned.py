@@ -40,6 +40,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import EmptyDatabaseError, StorageError, ValidationError
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from . import validation
 from .ad_block import BlockADEngine
@@ -472,7 +473,7 @@ class PartitionedStore:
         frequent = n is None
         kind = "frequent_k_n_match" if frequent else "k_n_match"
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         with self._lock:
             cardinality = self.cardinality
@@ -489,20 +490,13 @@ class PartitionedStore:
                 meta = dict(k=k, n=n0)
             query = validation.as_query_array(query, self._dimensionality)
             total = cardinality * self._dimensionality
-            if spans is None:
+            with spans.span(f"{self.label}/{kind}", **meta):
                 parts, stats = self._collect(query, k, n0, n1)
-                result = merge_parts(
-                    parts, stats, k, (n0, n1), total, frequent,
-                    keep_answer_sets,
-                )
-            else:
-                with spans.span(f"{self.label}/{kind}", **meta):
-                    parts, stats = self._collect(query, k, n0, n1)
-                    with spans.span("merge"):
-                        result = merge_parts(
-                            parts, stats, k, (n0, n1), total, frequent,
-                            keep_answer_sets,
-                        )
+                with spans.span("merge"):
+                    result = merge_parts(
+                        parts, stats, k, (n0, n1), total, frequent,
+                        keep_answer_sets,
+                    )
         if registry is not None:
             from ..obs import observe_query
 
@@ -517,34 +511,19 @@ class PartitionedStore:
     ) -> Tuple[List[PartAnswers], List[SearchStats]]:
         """Every part's candidates: the memtable, then each segment."""
         tombstones = self._tombstones
-        spans = self._spans
-        if spans is None:
+        spans = self._spans or NULL_SPANS
+        with spans.span("memtable_scan", rows=len(self._memtable)):
             collected = [
                 self._memtable.collect_candidates(query, n0, n1, tombstones)
             ]
-            for segment in self._segments:
+        for segment in self._segments:
+            with spans.span(
+                "segment_search", segment=segment.segment_id, level=segment.level
+            ):
                 collected.append(
                     segment.collect_candidates(
                         query, self._fetch(segment, k), n0, n1, tombstones
                     )
                 )
-        else:
-            with spans.span("memtable_scan", rows=len(self._memtable)):
-                collected = [
-                    self._memtable.collect_candidates(
-                        query, n0, n1, tombstones
-                    )
-                ]
-            for segment in self._segments:
-                with spans.span(
-                    "segment_search",
-                    segment=segment.segment_id,
-                    level=segment.level,
-                ):
-                    collected.append(
-                        segment.collect_candidates(
-                            query, self._fetch(segment, k), n0, n1, tombstones
-                        )
-                    )
         parts = [answers for answers, _stats in collected]
         return parts, [stats for _answers, stats in collected]

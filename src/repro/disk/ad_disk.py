@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 from ..core import validation
 from ..core.matchloop import run_frequent_k_n_match, run_k_n_match
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import AscendingDifferenceFrontier
 from ..storage import DEFAULT_DISK_MODEL, DiskModel, Pager, SortedColumnStore
 from .cursor import make_disk_cursors
@@ -90,26 +91,20 @@ class DiskADEngine:
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         baseline = self._io_snapshot()
-        if spans is None:
-            frontier = AscendingDifferenceFrontier(
-                make_disk_cursors(self._store, query)
-            )
-            ids, differences = run_k_n_match(frontier, c, k, n)
-        else:
-            with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-                with spans.span("cursor_init", dimensions=d):
-                    frontier = AscendingDifferenceFrontier(
-                        make_disk_cursors(self._store, query)
-                    )
-                with spans.span("heap_consume"):
-                    ids, differences = run_k_n_match(frontier, c, k, n)
-                    spans.annotate(
-                        heap_pops=frontier.pops,
-                        attributes_retrieved=frontier.attributes_retrieved,
-                    )
+        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
+            with spans.span("cursor_init", dimensions=d):
+                frontier = AscendingDifferenceFrontier(
+                    make_disk_cursors(self._store, query)
+                )
+            with spans.span("heap_consume"):
+                ids, differences = run_k_n_match(frontier, c, k, n)
+                spans.annotate(
+                    heap_pops=frontier.pops,
+                    attributes_retrieved=frontier.attributes_retrieved,
+                )
         stats = self._make_stats(frontier, baseline)
         if registry is not None:
             from ..obs import observe_query
@@ -134,33 +129,23 @@ class DiskADEngine:
         )
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         baseline = self._io_snapshot()
-        if spans is None:
-            frontier = AscendingDifferenceFrontier(
-                make_disk_cursors(self._store, query)
-            )
-            sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
-            answer_sets = {n: ids[:k] for n, ids in sets.items()}
-            chosen, frequencies = rank_by_frequency(answer_sets, k)
-        else:
-            with spans.span(
-                f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1
-            ):
-                with spans.span("cursor_init", dimensions=d):
-                    frontier = AscendingDifferenceFrontier(
-                        make_disk_cursors(self._store, query)
-                    )
-                with spans.span("heap_consume"):
-                    sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
-                    spans.annotate(
-                        heap_pops=frontier.pops,
-                        attributes_retrieved=frontier.attributes_retrieved,
-                    )
-                with spans.span("rank"):
-                    answer_sets = {n: ids[:k] for n, ids in sets.items()}
-                    chosen, frequencies = rank_by_frequency(answer_sets, k)
+        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
+            with spans.span("cursor_init", dimensions=d):
+                frontier = AscendingDifferenceFrontier(
+                    make_disk_cursors(self._store, query)
+                )
+            with spans.span("heap_consume"):
+                sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
+                spans.annotate(
+                    heap_pops=frontier.pops,
+                    attributes_retrieved=frontier.attributes_retrieved,
+                )
+            with spans.span("rank"):
+                answer_sets = {n: ids[:k] for n, ids in sets.items()}
+                chosen, frequencies = rank_by_frequency(answer_sets, k)
         stats = self._make_stats(frontier, baseline)
         if registry is not None:
             from ..obs import observe_query

@@ -61,6 +61,7 @@ import numpy as np
 from ..core import validation
 from ..core.partitioned import PartitionedStore
 from ..errors import StorageError, ValidationError
+from ..obs.spans import NULL_SPANS
 from ..storage.fault import FaultSchedule
 from .compactor import Compactor
 from .memtable import Memtable
@@ -422,14 +423,11 @@ class LsmMatchDatabase(PartitionedStore):
         """Insert one point; returns its (stable) id.  WAL-logged first."""
         coords = validation.as_query_array(point, self._dimensionality)
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         with self._lock:
-            if spans is None:
+            with spans.span("lsm/insert"):
                 wal_bytes = self._apply_insert(coords)
-            else:
-                with spans.span("lsm/insert"):
-                    wal_bytes = self._apply_insert(coords)
             pid = self._next_pid - 1
             self._maybe_flush()
         if registry is not None:
@@ -444,14 +442,9 @@ class LsmMatchDatabase(PartitionedStore):
     def _apply_insert(self, coords: np.ndarray) -> int:
         pid = self._next_pid
         generation = self._next_generation()
-        spans = self._spans
-        if spans is None:
+        spans = self._spans or NULL_SPANS
+        with spans.span("wal_append", pid=pid):
             wal_bytes = self._wal.append(OP_INSERT, generation, pid, coords)
-        else:
-            with spans.span("wal_append", pid=pid):
-                wal_bytes = self._wal.append(
-                    OP_INSERT, generation, pid, coords
-                )
         if self._wal.unsynced >= self.wal_sync_interval:
             self._wal.sync()
         if self._fault is not None:
@@ -465,18 +458,15 @@ class LsmMatchDatabase(PartitionedStore):
     def delete(self, pid: int) -> None:
         """Delete a live point by id.  WAL-logged first."""
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
         with self._lock:
             if pid not in self:
                 raise ValidationError(
                     f"point {pid} does not exist or was deleted"
                 )
-            if spans is None:
+            with spans.span("lsm/delete"):
                 wal_bytes = self._apply_delete(pid)
-            else:
-                with spans.span("lsm/delete"):
-                    wal_bytes = self._apply_delete(pid)
             self._maybe_flush()
         if registry is not None:
             from ..obs import observe_lsm_mutation, update_lsm_gauges
@@ -488,12 +478,9 @@ class LsmMatchDatabase(PartitionedStore):
 
     def _apply_delete(self, pid: int) -> int:
         generation = self._next_generation()
-        spans = self._spans
-        if spans is None:
+        spans = self._spans or NULL_SPANS
+        with spans.span("wal_append", pid=pid):
             wal_bytes = self._wal.append(OP_DELETE, generation, pid)
-        else:
-            with spans.span("wal_append", pid=pid):
-                wal_bytes = self._wal.append(OP_DELETE, generation, pid)
         if self._wal.unsynced >= self.wal_sync_interval:
             self._wal.sync()
         if self._fault is not None:
@@ -520,16 +507,13 @@ class LsmMatchDatabase(PartitionedStore):
         recovery.
         """
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter()
         with self._lock:
             if len(self._memtable) == 0 and self._wal.appended == 0:
                 return False
-            if spans is None:
+            with spans.span("flush", rows=len(self._memtable)):
                 flushed_rows, bytes_written = self._flush_locked()
-            else:
-                with spans.span("flush", rows=len(self._memtable)):
-                    flushed_rows, bytes_written = self._flush_locked()
         if registry is not None:
             from ..obs import observe_lsm_flush, update_lsm_gauges
 
@@ -609,7 +593,7 @@ class LsmMatchDatabase(PartitionedStore):
         which tombstones still reference a stored row.
         """
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         with self._compact_lock:
             started = time.perf_counter()
             with self._lock:
@@ -620,17 +604,10 @@ class LsmMatchDatabase(PartitionedStore):
                 tombstone_snapshot = set(self._tombstones)
                 segment_id = self._next_segment_id
                 self._next_segment_id += 1
-            if spans is None:
+            with spans.span("compact", level=level, segments=len(victims)):
                 rows_in, rows_out, bytes_written = self._merge_level(
                     level, victims, tombstone_snapshot, segment_id
                 )
-            else:
-                with spans.span(
-                    "compact", level=level, segments=len(victims)
-                ):
-                    rows_in, rows_out, bytes_written = self._merge_level(
-                        level, victims, tombstone_snapshot, segment_id
-                    )
             seconds = time.perf_counter() - started
             with self._lock:
                 self.last_compaction = {

@@ -68,6 +68,7 @@ from .registry import (
     MetricsRegistry,
 )
 from .spans import (
+    NULL_SPANS,
     PHASE_NAMES,
     Span,
     SpanCollector,
@@ -90,6 +91,7 @@ __all__ = [
     "epsilon_rounds_from_stats",
     "Span",
     "SpanCollector",
+    "NULL_SPANS",
     "PHASE_NAMES",
     "chrome_trace_events",
     "render_chrome_json",

@@ -10,12 +10,14 @@ untouched — plus a wall-clock measurement taken by the caller.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.types import SearchStats
+from .spans import NULL_SPANS
 
-__all__ = ["QueryTrace", "epsilon_rounds_from_stats"]
+__all__ = ["QueryTrace", "build_query_trace", "epsilon_rounds_from_stats"]
 
 
 def epsilon_rounds_from_stats(stats: SearchStats, dimensionality: int) -> int:
@@ -117,3 +119,31 @@ class QueryTrace:
         if self.trace_id is not None:
             text += f" trace_id={self.trace_id}"
         return text
+
+
+def build_query_trace(
+    engine: str,
+    kind: str,
+    k: int,
+    n_range: Tuple[int, int],
+    stats: SearchStats,
+    started: float,
+    dimensionality: int,
+    spans: Optional[object] = None,
+) -> QueryTrace:
+    """The :class:`QueryTrace` of a query that began at ``started``.
+
+    ``engine`` is the facade's label for what ran; the wall time runs
+    from ``started`` (a :func:`time.perf_counter` reading) to now, and
+    the trace id is whatever request id is in scope on ``spans``.
+    """
+    return QueryTrace.from_stats(
+        engine=engine,
+        kind=kind,
+        k=k,
+        n_range=n_range,
+        stats=stats,
+        wall_time_seconds=time.perf_counter() - started,
+        dimensionality=dimensionality,
+        trace_id=(spans or NULL_SPANS).capture_context("trace_id"),
+    )

@@ -51,6 +51,7 @@ from ..core.types import (
     SearchStats,
     rank_by_frequency,
 )
+from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 
 __all__ = ["BatchBlockADEngine"]
@@ -183,44 +184,34 @@ class BatchBlockADEngine:
             queries, k, n, c, d
         )
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
-            results = self._k_n_match_batch_impl(queries, k, n)
-        else:
-            with spans.span(
-                f"{self.name}/k_n_match_batch",
-                batch=int(queries.shape[0]), k=k, n=n,
-            ):
-                results = self._k_n_match_batch_impl(queries, k, n)
-        if registry is not None:
-            self._observe_batch(registry, "k_n_match", results, started)
-        return results
-
-    def _k_n_match_batch_impl(
-        self, queries: np.ndarray, k: int, n: int
-    ) -> List[MatchResult]:
-        """The lock-step run plus per-query conversion to MatchResult."""
-        frequents = self._frequent_batch_impl(
-            queries, k, n, n, keep_answer_sets=True
-        )
         data = self._columns.data
         results: List[MatchResult] = []
-        for query, freq in zip(queries, frequents):
-            ids = freq.answer_sets[n]
-            differences = [
-                float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
-                for pid in ids
-            ]
-            results.append(
-                MatchResult(
-                    ids=list(ids),
-                    differences=differences,
-                    k=freq.k,
-                    n=n,
-                    stats=freq.stats,
-                )
+        with spans.span(
+            f"{self.name}/k_n_match_batch",
+            batch=int(queries.shape[0]), k=k, n=n,
+        ):
+            frequents = self._frequent_batch_impl(
+                queries, k, n, n, keep_answer_sets=True
             )
+            for query, freq in zip(queries, frequents):
+                ids = freq.answer_sets[n]
+                differences = [
+                    float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
+                    for pid in ids
+                ]
+                results.append(
+                    MatchResult(
+                        ids=list(ids),
+                        differences=differences,
+                        k=freq.k,
+                        n=n,
+                        stats=freq.stats,
+                    )
+                )
+        if registry is not None:
+            self._observe_batch(registry, "k_n_match", results, started)
         return results
 
     def frequent_k_n_match_batch(
@@ -236,20 +227,15 @@ class BatchBlockADEngine:
             queries, k, n_range, c, d
         )
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         started = time.perf_counter() if registry is not None else 0.0
-        if spans is None:
+        with spans.span(
+            f"{self.name}/frequent_k_n_match_batch",
+            batch=int(queries.shape[0]), k=k, n0=n0, n1=n1,
+        ):
             results = self._frequent_batch_impl(
                 queries, k, n0, n1, keep_answer_sets=keep_answer_sets
             )
-        else:
-            with spans.span(
-                f"{self.name}/frequent_k_n_match_batch",
-                batch=int(queries.shape[0]), k=k, n0=n0, n1=n1,
-            ):
-                results = self._frequent_batch_impl(
-                    queries, k, n0, n1, keep_answer_sets=keep_answer_sets
-                )
         if registry is not None:
             self._observe_batch(
                 registry, "frequent_k_n_match", results, started
@@ -302,15 +288,7 @@ class BatchBlockADEngine:
                 )
             return results
 
-        spans = self._spans
-        if spans is None:
-            masks, final_attrs, rounds = self._grow_windows_batch(
-                queries, k, n0, n1
-            )
-            return self._finalize_batch(
-                queries, k, n0, n1, keep_answer_sets, masks, final_attrs,
-                rounds,
-            )
+        spans = self._spans or NULL_SPANS
         with spans.span("lockstep", queries=a):
             masks, final_attrs, rounds = self._grow_windows_batch(
                 queries, k, n0, n1

@@ -36,6 +36,7 @@ import numpy as np
 from ..core import validation
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats
 from ..errors import ValidationError
+from ..obs.spans import NULL_SPANS
 from .stats import BatchStats
 
 __all__ = ["ParallelBatchExecutor"]
@@ -200,57 +201,40 @@ class ParallelBatchExecutor:
             return []
 
         registry = self._metrics
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         bounds = self._shard_bounds(count)
         shards = [queries[lo:hi] for lo, hi in bounds]
         shard_seconds: List[float] = [0.0] * len(shards)
         worker_busy: Dict[int, float] = {}
-        if registry is not None or spans is not None:
-            inner = run_shard
-            # Captured on the calling thread; worker-thread roots carry
-            # it so cross-thread traces stay request-correlated.
-            trace_id = (
-                spans.capture_context("trace_id")
-                if spans is not None
-                else None
-            )
+        # Captured on the calling thread; worker-thread roots carry it so
+        # cross-thread traces stay request-correlated.
+        trace_id = spans.capture_context("trace_id")
 
-            def run_shard(item):
-                index, shard = item
-                shard_started = (
-                    time.perf_counter() if registry is not None else 0.0
-                )
-                if spans is None:
-                    output = inner(shard)
-                else:
-                    # A root span on the worker thread: span stacks are
-                    # thread-confined, so each shard traces separately.
-                    shard_meta = dict(
-                        shard=index, queries=int(shard.shape[0])
-                    )
-                    if trace_id is not None:
-                        shard_meta["trace_id"] = trace_id
-                    with spans.span("batch_shard", **shard_meta):
-                        output = inner(shard)
-                if registry is not None:
-                    elapsed = time.perf_counter() - shard_started
-                    shard_seconds[index] = elapsed
-                    ident = threading.get_ident()
-                    # Per-thread slot writes race only with themselves:
-                    # each pool thread touches exactly its own key.
-                    worker_busy[ident] = worker_busy.get(ident, 0.0) + elapsed
-                return output
-
-            work: Sequence = list(enumerate(shards))
-        else:
-            work = shards
+        def run_one(index: int) -> Sequence:
+            shard = shards[index]
+            shard_started = time.perf_counter() if registry is not None else 0.0
+            # A root span on the worker thread: span stacks are
+            # thread-confined, so each shard traces separately.
+            shard_meta = dict(shard=index, queries=int(shard.shape[0]))
+            if trace_id is not None:
+                shard_meta["trace_id"] = trace_id
+            with spans.span("batch_shard", **shard_meta):
+                output = run_shard(shard)
+            if registry is not None:
+                elapsed = time.perf_counter() - shard_started
+                shard_seconds[index] = elapsed
+                ident = threading.get_ident()
+                # Per-thread slot writes race only with themselves: each
+                # pool thread touches exactly its own key.
+                worker_busy[ident] = worker_busy.get(ident, 0.0) + elapsed
+            return output
 
         if len(shards) == 1 or self._workers == 1:
             # No point paying pool overhead for a single runnable unit.
-            outputs = [run_shard(item) for item in work]
+            outputs = [run_one(index) for index in range(len(shards))]
         else:
             with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                outputs = list(pool.map(run_shard, work))
+                outputs = list(pool.map(run_one, range(len(shards))))
 
         results: List = []
         for output in outputs:

@@ -49,6 +49,7 @@ from ..core.advisor import (
     sample_row_ids,
 )
 from ..errors import ValidationError
+from ..obs.spans import NULL_SPANS
 from .model import PlanModel
 
 __all__ = ["QueryPlan", "QueryPlanner", "FALLBACK_ENGINE", "PLAN_KINDS"]
@@ -223,20 +224,16 @@ class QueryPlanner:
         if cached is not None:
             self._last_plan = cached
             return cached
-        spans = getattr(self._spans_owner, "spans", None)
-        if spans is None:
-            plan = self._plan_dispatch(
-                kind, k, (n0, n1), bool(batched), mode, target_recall
+        spans = getattr(self._spans_owner, "spans", None) or NULL_SPANS
+        with spans.span("plan", kind=kind, k=k, n0=n0, n1=n1, mode=mode):
+            if mode == "approx":
+                plan = self._plan_approx(k, (n0, n1), target_recall)
+            else:
+                plan = self._plan_uncached(kind, k, (n0, n1), bool(batched))
+            spans.annotate(
+                engine=plan.engine,
+                predicted_ms=round(plan.predicted_seconds * 1e3, 3),
             )
-        else:
-            with spans.span("plan", kind=kind, k=k, n0=n0, n1=n1, mode=mode):
-                plan = self._plan_dispatch(
-                    kind, k, (n0, n1), bool(batched), mode, target_recall
-                )
-                spans.annotate(
-                    engine=plan.engine,
-                    predicted_ms=round(plan.predicted_seconds * 1e3, 3),
-                )
         with self._lock:
             plan = self._decisions.setdefault(key, plan)
             self._decisions.move_to_end(key)
@@ -244,13 +241,6 @@ class QueryPlanner:
                 self._decisions.popitem(last=False)
         self._last_plan = plan
         return plan
-
-    def _plan_dispatch(
-        self, kind, k, n_range, batched, mode, target_recall
-    ) -> QueryPlan:
-        if mode == "approx":
-            return self._plan_approx(k, n_range, target_recall)
-        return self._plan_uncached(kind, k, n_range, batched)
 
     def record_actual(self, plan: QueryPlan, cells: float, seconds: float) -> None:
         """Feed one executed planned query back into the cost model."""

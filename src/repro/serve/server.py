@@ -63,6 +63,7 @@ from ..core import validation
 from ..core.engine import validate_engine_choice
 from ..errors import ValidationError
 from ..obs import (
+    NULL_SPANS,
     FlightRecorder,
     MetricsRegistry,
     TRACE_HEADER,
@@ -474,19 +475,15 @@ class ServeApp:
                 method=method, context=context, detail=detail,
             )
         serve_inflight_gauge(self._metrics).set(self._admission.inflight)
-        root = None
         try:
-            spans = self._spans
-            if spans is None:
+            spans = self._spans or NULL_SPANS
+            trace_id = context.trace_id if context is not None else ""
+            # Without a collector ``root`` is None: flight records made
+            # for this request then carry no span tree.
+            with spans.span(
+                "serve_handle", endpoint=path, trace_id=trace_id
+            ) as root:
                 response = self._answer(path, request, detail)
-            else:
-                trace_id = (
-                    context.trace_id if context is not None else ""
-                )
-                with spans.span(
-                    "serve_handle", endpoint=path, trace_id=trace_id
-                ) as root:
-                    response = self._answer(path, request, detail)
         finally:
             self._admission.release()
             serve_inflight_gauge(self._metrics).set(self._admission.inflight)
@@ -498,7 +495,7 @@ class ServeApp:
 
     def _answer(self, path: str, request, detail: Optional[Dict] = None):
         """Cache lookup -> (maybe) execute -> encode, inside admission."""
-        spans = self._spans
+        spans = self._spans or NULL_SPANS
         if detail is None:
             detail = {}
         detail["kind"] = {
@@ -519,15 +516,11 @@ class ServeApp:
         except ValidationError as error:
             return self._error(400, "validation", str(error))
         if self._cache.enabled:
-            if spans is None:
+            with spans.span("serve_cache", op="get"):
                 cached = self._cache.get(key[1])
-            else:
-                with spans.span("serve_cache", op="get"):
-                    cached = self._cache.get(key[1])
             if cached is not None:
                 observe_serve_cache(self._metrics, path, "hit")
-                if spans is not None:
-                    spans.annotate(cache="hit")
+                spans.annotate(cache="hit")
                 detail["cache"] = "hit"
                 headers = [("Content-Type", _JSON), ("X-Repro-Cache", "hit")]
                 # Replayed approx answers re-derive the recall header
@@ -558,18 +551,14 @@ class ServeApp:
             # generation while we computed, the answer may reflect a
             # mix of states and must not be replayed.
             if self.generation() == generation_before:
-                if spans is None:
+                with spans.span("serve_cache", op="put"):
                     evicted = self._cache.put(key[1], body)
-                else:
-                    with spans.span("serve_cache", op="put"):
-                        evicted = self._cache.put(key[1], body)
             else:
                 evicted = 0
             observe_serve_cache(self._metrics, path, event, evicted)
         else:
             event = "bypass"
-        if spans is not None:
-            spans.annotate(cache=event)
+        spans.annotate(cache=event)
         detail["cache"] = event
         if "mode" in payload:
             detail["mode"] = payload["mode"]

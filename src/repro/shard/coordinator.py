@@ -32,6 +32,7 @@ from ..core.engine import MatchDatabase
 from ..core.merge import answer_set_differences, merge_parts, merge_top_k
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats
 from ..errors import ValidationError
+from ..obs.spans import NULL_SPANS, span_from_dict, stitch_worker_spans
 from ..parallel import BatchStats, ParallelBatchExecutor
 from .procpool import ShardProcessPool, _run_task
 
@@ -367,12 +368,7 @@ class ScatterGatherCoordinator:
         args = (
             task_input, k, n_range if frequent else n_range[0], engine_name
         )
-        spans = self._spans
-        if spans is None:
-            outputs = self._scatter(kind, engine_name, args)
-            return self._merge(
-                outputs, queries, k, n_range, frequent, keep_answer_sets
-            )
+        spans = self._spans or NULL_SPANS
         with spans.span(f"sharded/{kind}", **meta, shards=len(self._shards)):
             outputs = self._scatter(kind, engine_name, args)
             with spans.span("merge"):
@@ -444,55 +440,40 @@ class ScatterGatherCoordinator:
             return _ShardOutput(_run_task(db, task_kind, args))
 
         registry = self._metrics
-        spans = self._spans
-        if registry is None and spans is None:
-            run = run_one
-        else:
-            # Captured on the request thread: pool-thread shard_call
-            # roots re-attach it so cross-thread siblings stay
-            # correlated with the request that spawned them.
-            trace_id = (
-                spans.capture_context("trace_id")
-                if spans is not None
-                else None
+        spans = self._spans or NULL_SPANS
+        # Captured on the request thread: pool-thread shard_call roots
+        # re-attach it so cross-thread siblings stay correlated with the
+        # request that spawned them.
+        trace_id = spans.capture_context("trace_id")
+
+        def run(position: int) -> _ShardOutput:
+            shard_index = self._shards[position][0]
+            shard_started = time.perf_counter() if registry is not None else 0.0
+            # On a pool worker this opens a new root (span stacks are
+            # thread-confined); inline it nests under the ``shard_fanout``
+            # span of the calling thread.
+            call_meta = dict(
+                shard=shard_index, engine=engine_name, kind=kind, backend="thread"
             )
+            if trace_id is not None:
+                call_meta["trace_id"] = trace_id
+            with spans.span("shard_call", **call_meta):
+                output = run_one(position)
+            if registry is not None:
+                from ..obs import observe_shard_call
 
-            def run(position: int) -> _ShardOutput:
-                shard_index = self._shards[position][0]
-                shard_started = (
-                    time.perf_counter() if registry is not None else 0.0
+                observe_shard_call(
+                    registry,
+                    shard=str(shard_index),
+                    engine=engine_name,
+                    kind=kind,
+                    queries=output.queries,
+                    stats=output.stats,
+                    wall_seconds=time.perf_counter() - shard_started,
+                    partitioner=self._partitioner,
+                    backend="thread",
                 )
-                if spans is None:
-                    output = run_one(position)
-                else:
-                    # On a pool worker this opens a new root (span stacks
-                    # are thread-confined); inline it nests under the
-                    # ``shard_fanout`` span of the calling thread.
-                    call_meta = dict(
-                        shard=shard_index,
-                        engine=engine_name,
-                        kind=kind,
-                        backend="thread",
-                    )
-                    if trace_id is not None:
-                        call_meta["trace_id"] = trace_id
-                    with spans.span("shard_call", **call_meta):
-                        output = run_one(position)
-                if registry is not None:
-                    from ..obs import observe_shard_call
-
-                    observe_shard_call(
-                        registry,
-                        shard=str(shard_index),
-                        engine=engine_name,
-                        kind=kind,
-                        queries=output.queries,
-                        stats=output.stats,
-                        wall_seconds=time.perf_counter() - shard_started,
-                        partitioner=self._partitioner,
-                        backend="thread",
-                    )
-                return output
+            return output
 
         tasks = np.arange(len(self._shards), dtype=np.float64).reshape(-1, 1)
         executor = ParallelBatchExecutor(
@@ -501,8 +482,6 @@ class ScatterGatherCoordinator:
             chunk_size=1,
             metrics=registry,
         )
-        if spans is None:
-            return list(executor.k_n_match_batch(tasks, 1, 1))
         with spans.span(
             "shard_fanout",
             kind=kind,
@@ -529,55 +508,48 @@ class ScatterGatherCoordinator:
             (position, pool_kind, args)
             for position in range(len(self._shards))
         ]
-        spans = self._spans
-        if spans is None:
-            results = pool.run_tasks(tasks)
-        else:
-            with spans.span(
-                "shard_fanout",
-                kind=kind,
-                engine=engine_name,
-                shards=len(self._shards),
-                backend="process",
-                workers=pool.workers,
-            ):
-                results = pool.run_tasks(tasks, want_spans=True)
+        spans = self._spans or NULL_SPANS
+        with spans.span(
+            "shard_fanout",
+            kind=kind,
+            engine=engine_name,
+            shards=len(self._shards),
+            backend="process",
+            workers=pool.workers,
+        ):
+            # Workers time their own phases only when a collector is
+            # here to receive the trees.
+            results = pool.run_tasks(tasks, want_spans=spans is not NULL_SPANS)
         registry = self._metrics
-        trace_id = (
-            spans.capture_context("trace_id") if spans is not None else None
-        )
+        trace_id = spans.capture_context("trace_id")
         outputs: List[_ShardOutput] = []
         for position, result in enumerate(results):
             shard_index = self._shards[position][0]
             output = _ShardOutput(result.payload)
-            if spans is not None:
-                # Post-hoc marker span: the shard ran in a worker
-                # process, so the span's own duration is ~0 and the
-                # authoritative timing is the shipped-back
-                # ``worker_seconds`` annotation.  The worker's own span
-                # forest (shipped in the ok envelope) is then grafted
-                # underneath, rebased onto this span's clock, so the
-                # tree shows real worker phase rows.
-                call_meta = dict(
-                    shard=shard_index,
-                    engine=engine_name,
-                    kind=kind,
-                    backend="process",
-                    worker_pid=result.worker_pid,
-                    worker_seconds=result.worker_seconds,
+            # Post-hoc marker span: the shard ran in a worker process, so
+            # the span's own duration is ~0 and the authoritative timing
+            # is the shipped-back ``worker_seconds`` annotation.  The
+            # worker's own span forest (shipped in the ok envelope) is
+            # then grafted underneath, rebased onto this span's clock, so
+            # the tree shows real worker phase rows.
+            call_meta = dict(
+                shard=shard_index,
+                engine=engine_name,
+                kind=kind,
+                backend="process",
+                worker_pid=result.worker_pid,
+                worker_seconds=result.worker_seconds,
+            )
+            if trace_id is not None:
+                call_meta["trace_id"] = trace_id
+            with spans.span("shard_call", **call_meta) as call_span:
+                pass
+            if result.spans:
+                stitch_worker_spans(
+                    call_span,
+                    [span_from_dict(tree) for tree in result.spans],
+                    result.worker_pid,
                 )
-                if trace_id is not None:
-                    call_meta["trace_id"] = trace_id
-                with spans.span("shard_call", **call_meta) as call_span:
-                    pass
-                if result.spans:
-                    from ..obs.spans import span_from_dict, stitch_worker_spans
-
-                    stitch_worker_spans(
-                        call_span,
-                        [span_from_dict(tree) for tree in result.spans],
-                        result.worker_pid,
-                    )
             if registry is not None:
                 from ..obs import observe_shard_call
 

@@ -43,6 +43,8 @@ from ..core.engine import (
 from ..core.merge import merge_parts
 from ..core.types import FrequentMatchResult, MatchResult
 from ..errors import ValidationError
+from ..obs.spans import NULL_SPANS
+from ..obs.trace import build_query_trace
 from ..parallel import BatchStats
 from .coordinator import ScatterGatherCoordinator
 from .partition import (
@@ -429,7 +431,7 @@ class ShardedMatchDatabase:
         if plan is not None:
             self._observe_plan(plan, [result], started)
         if trace:
-            result.trace = self._build_trace(
+            result.trace = self._trace(
                 engine, "k_n_match", k, (n, n), result.stats, started
             )
         return result
@@ -468,7 +470,7 @@ class ShardedMatchDatabase:
         if plan is not None:
             self._observe_plan(plan, [result], started)
         if trace:
-            result.trace = self._build_trace(
+            result.trace = self._trace(
                 engine, "frequent_k_n_match", k, n_range, result.stats, started
             )
         return result
@@ -694,27 +696,15 @@ class ShardedMatchDatabase:
             engine, k, n, target_recall
         )
         started = time.perf_counter()
-        spans = self._spans
-        if spans is None:
+        spans = self._spans or NULL_SPANS
+        with spans.span(
+            "sharded/k_n_match", k=k, n=n, mode="approx", engine=resolved
+        ):
             result = self._approx_scatter(
                 query, k, n, resolved, budget, target_recall,
                 candidate_multiplier,
             )
-        else:
-            with spans.span(
-                "sharded/k_n_match",
-                k=k,
-                n=n,
-                mode="approx",
-                engine=resolved,
-            ):
-                result = self._approx_scatter(
-                    query, k, n, resolved, budget, target_recall,
-                    candidate_multiplier,
-                )
-                spans.annotate(
-                    certified_recall=round(result.certified_recall, 4)
-                )
+            spans.annotate(certified_recall=round(result.certified_recall, 4))
         seconds = time.perf_counter() - started
         if self._metrics is not None:
             from ..obs import observe_approx_query
@@ -732,7 +722,7 @@ class ShardedMatchDatabase:
             self._observe_plan(plan, [result], started)
             self.planner.record_recall(plan.engine, result.certified_recall)
         if trace:
-            result.trace = self._build_trace(
+            result.trace = self._trace(
                 resolved, "k_n_match", k, (n, n), result.stats, started
             )
         return result
@@ -786,27 +776,14 @@ class ShardedMatchDatabase:
         return results
 
     # ------------------------------------------------------------------
-    def _build_trace(self, engine, kind, k, n_range, stats, started):
-        from ..obs import QueryTrace
-
+    def _trace(self, engine, kind, k, n_range, stats, started):
         label = (
             f"sharded[{self._shard_count}x{engine or self._default_engine}"
             f"/{self._partitioner.name}]"
         )
-        spans = self._spans
-        return QueryTrace.from_stats(
-            engine=label,
-            kind=kind,
-            k=k,
-            n_range=n_range,
-            stats=stats,
-            wall_time_seconds=time.perf_counter() - started,
-            dimensionality=self.dimensionality,
-            trace_id=(
-                spans.capture_context("trace_id")
-                if spans is not None
-                else None
-            ),
+        return build_query_trace(
+            label, kind, k, n_range, stats, started, self.dimensionality,
+            self._spans,
         )
 
     def __len__(self) -> int:

@@ -278,9 +278,9 @@ def _worker_main(
                 if want_spans:
                     # One fresh collector per spanned task: its ring then
                     # holds exactly this task's root trees, in open order,
-                    # ready to ship back in the ok envelope.  Spans stay
-                    # strictly zero-cost when the coordinator has no
-                    # collector installed (want_spans False).
+                    # ready to ship back in the ok envelope.  Without a
+                    # coordinator collector (want_spans False) the worker
+                    # records no spans at all.
                     collector = SpanCollector()
                     db.set_spans(collector)
                 payload = _run_task(db, kind, args)
@@ -478,7 +478,7 @@ class ShardProcessPool:
         ``want_spans=True`` asks every worker to run its task under a
         fresh :class:`SpanCollector` and ship the finished span forest
         back in the ok envelope (``PoolResult.spans``); the default
-        keeps the wire format span-free and the worker path zero-cost.
+        keeps the wire format span-free and records nothing in the worker.
 
         Thread-safe (one scatter at a time; the per-shard fan-out within
         a scatter is what runs in parallel).  Raises

@@ -14,7 +14,7 @@ protocol point (between writing a segment and swapping the manifest,
 say) and a torn write that persists only a prefix of a WAL record.
 Components that support injection hold an optional schedule and call
 :meth:`FaultSchedule.reached` at their crash points — ``None`` means no
-check at all, the same zero-cost discipline as ``metrics=``/``spans=``.
+check at all, the same discipline as ``metrics=``.
 An injected crash raises :class:`InjectedCrashError`; the test then
 abandons the broken object and re-opens the store from disk, which must
 recover to a state bit-identical to the naive oracle over the durable

@@ -8,6 +8,8 @@ engines.
 """
 
 import json
+import os
+import pathlib
 import threading
 import time
 
@@ -367,3 +369,226 @@ class TestEngineIntegration:
         db.set_spans(None)
         db.k_n_match(query, 2, 2)
         assert len(spans.traces()) == 1
+
+
+# ----------------------------------------------------------------------
+# span-tree golden: every instrumented component, one fixed query
+# ----------------------------------------------------------------------
+#: Meta keys whose values differ run to run: process ids, wall times,
+#: and plan predictions (the cost model learns from observed times).
+_VOLATILE_META = ("worker_pid", "worker_seconds", "predicted_ms")
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("span_trees.golden")
+
+
+def _render_roots(roots):
+    """Every root's timeless text tree, in publish order."""
+    texts = []
+    for root in roots:
+        for span in root.iter_spans():
+            for key in _VOLATILE_META:
+                if key in span.meta:
+                    span.meta[key] = "*"
+        texts.append(render_span_text(root, show_times=False))
+    return "\n".join(texts)
+
+
+def _golden_trees(tmp_path):
+    """Label -> rendered span forest of one component's traced calls."""
+    from repro.approx import BudgetADEngine, PivotSketchEngine
+    from repro.core.ad import ADEngine
+    from repro.core.ad_block import BlockADEngine
+    from repro.core.dynamic import DynamicMatchDatabase
+    from repro.core.engine import MatchDatabase
+    from repro.core.naive import NaiveScanEngine
+    from repro.disk import DiskADEngine
+    from repro.lsm import LsmMatchDatabase
+    from repro.parallel import BatchBlockADEngine
+    from repro.plan import CostCurve, PlanModel
+    from repro.serve import ServeApp
+    from repro.serve.protocol import canonical_json
+    from repro.shard import ShardedMatchDatabase
+
+    data = np.round(np.random.default_rng(11).random((120, 6)) * 4) / 4
+    query = data[3] + 0.125
+    batch = np.stack([query, data[7] - 0.125])
+    k, n, n_range = 5, 3, (2, 5)
+    trees = {}
+
+    def record(label, run):
+        spans = SpanCollector(capacity=4096)
+        run(spans)
+        trees[label] = _render_roots(spans.traces())
+
+    def single_engine(factory):
+        def run(spans):
+            engine = factory(spans)
+            engine.k_n_match(query, k, n)
+            engine.frequent_k_n_match(query, k, n_range)
+
+        return run
+
+    record("naive", single_engine(lambda s: NaiveScanEngine(data, spans=s)))
+    record("ad", single_engine(lambda s: ADEngine(data, spans=s)))
+    record("block-ad", single_engine(lambda s: BlockADEngine(data, spans=s)))
+    record("disk-ad", single_engine(lambda s: DiskADEngine(data, spans=s)))
+
+    def batch_block_ad(spans):
+        engine = BatchBlockADEngine(data, spans=spans)
+        engine.k_n_match(query, k, n)
+        engine.k_n_match_batch(batch, k, n)
+        engine.frequent_k_n_match_batch(batch, k, n_range)
+
+    record("batch-block-ad", batch_block_ad)
+    record(
+        "budget-ad/budgeted",
+        lambda s: BudgetADEngine(data, spans=s).k_n_match(
+            query, k, n, budget=200
+        ),
+    )
+    record(
+        "budget-ad/delegated",
+        lambda s: BudgetADEngine(data, spans=s).k_n_match(query, k, n),
+    )
+    record(
+        "pivot-sketch",
+        lambda s: PivotSketchEngine(data, spans=s).k_n_match(query, k, n),
+    )
+
+    def planner(spans):
+        db = MatchDatabase(data, spans=spans)
+        db.set_plan_model(
+            PlanModel(
+                {
+                    "block-ad": CostCurve("block-ad", 1e-7, source="bench"),
+                    "naive": CostCurve("naive", 2e-7, source="bench"),
+                    "batch-block-ad": CostCurve(
+                        "batch-block-ad", 1e-7, source="bench"
+                    ),
+                }
+            )
+        )
+        db.k_n_match(query, k, n, engine="auto")
+        db.frequent_k_n_match(query, k, n_range, engine="auto")
+
+    record("planner", planner)
+
+    def sharded(backend):
+        def run(spans):
+            # One worker: thread-backend shard calls then run inline,
+            # so the forest's order is deterministic.
+            with ShardedMatchDatabase(
+                data, shards=3, workers=1, backend=backend, spans=spans
+            ) as db:
+                db.k_n_match(query, k, n)
+                db.frequent_k_n_match(query, k, n_range)
+                db.k_n_match_batch(batch, k, n)
+                db.frequent_k_n_match_batch(batch, k, n_range)
+
+        return run
+
+    record("sharded/thread", sharded("thread"))
+    record("sharded/process", sharded("process"))
+
+    def sharded_approx(spans):
+        with ShardedMatchDatabase(data, shards=3, workers=1, spans=spans) as db:
+            db.k_n_match(query, k, n, mode="approx", budget=200)
+
+    record("sharded/approx", sharded_approx)
+
+    def lsm(spans):
+        db = LsmMatchDatabase(
+            tmp_path / "lsm",
+            dimensionality=data.shape[1],
+            memtable_flush_rows=8,
+            level_fanout=2,
+            auto_compact=False,
+            spans=spans,
+        )
+        try:
+            for row in data[:20]:
+                db.insert(row)
+            db.delete(4)
+            db.k_n_match(query, k, n)
+            db.frequent_k_n_match(query, k, n_range)
+            db.flush()
+            db.compact()
+            db.k_n_match(query, k, n)
+        finally:
+            db.close()
+
+    record("lsm", lsm)
+
+    def dynamic(spans):
+        db = DynamicMatchDatabase(data[:60], spans=spans)
+        for row in data[60:70]:
+            db.insert(row)
+        db.delete(4)
+        db.k_n_match(query, k, n)
+        db.frequent_k_n_match(query, k, n_range)
+
+    record("dynamic", dynamic)
+
+    def serve(spans):
+        app = ServeApp(MatchDatabase(data), spans=spans)
+        body = canonical_json({"query": list(query), "k": k, "n": n})
+        for _ in range(2):  # a miss, then a hit
+            app.handle("POST", "/v1/query", body)
+
+    record("serve", serve)
+
+    def serve_mutations(spans):
+        db = LsmMatchDatabase(
+            tmp_path / "served", dimensionality=data.shape[1], spans=spans
+        )
+        try:
+            app = ServeApp(db, spans=spans)
+            point = canonical_json({"point": list(data[0])})
+            app.handle("POST", "/v1/insert", point)
+            app.handle("POST", "/v1/delete", canonical_json({"pid": 0}))
+        finally:
+            db.close()
+
+    record("serve/mutations", serve_mutations)
+    return trees
+
+
+def _format_golden(trees):
+    return "".join(
+        f"== {label} ==\n{text}\n" for label, text in sorted(trees.items())
+    )
+
+
+class TestSpanTreeGolden:
+    """The span tree of every instrumented component, structure only.
+
+    One fixed tie-heavy query per component, rendered without times and
+    compared with a committed golden: instrumentation refactors must
+    keep every span name, nesting and annotation.  Regenerate with
+    ``REPRO_UPDATE_GOLDEN=1 python -m pytest tests/test_spans.py``.
+    """
+
+    def test_matches_golden(self, tmp_path):
+        text = _format_golden(_golden_trees(tmp_path))
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN_PATH.write_text(text)
+        assert text == GOLDEN_PATH.read_text()
+
+
+class TestNoSpanForks:
+    """Instrumentation is written once: ``spans or NULL_SPANS``, no fork."""
+
+    def test_no_if_spans_is_none_in_src(self):
+        import re
+
+        import repro
+
+        fork = re.compile(r"\bif\s+spans\s+is\s+None\s*:")
+        root = pathlib.Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if fork.search(line)
+        ]
+        assert offenders == []
