@@ -16,14 +16,28 @@ and produces a span tree), and ``flight`` (tracing plus a zero slow
 threshold, so every request is additionally deposited in the flight
 recorder) — asserting response bodies byte-identical across all three.
 
-Two invariants are asserted before anything is reported:
+Three invariants are asserted before anything is reported:
 
 * answers are bit-identical across all modes (response *bytes*, for the
-  serve matrix), and
+  serve matrix),
+* the uninstrumented mode records nothing: no :class:`Span` comes alive
+  while it runs (a collector that is on although none was installed
+  costs a few percent per query — far inside the timing tolerance —
+  so only a count can see it), and
 * the uninstrumented run is not slower than an instrumented one beyond
-  timing noise (disabled metrics cost one ``is None`` test, disabled
-  spans run under the no-op ``NULL_SPANS`` collector: neither may show
-  up as overhead).
+  timing noise (with nothing installed a query runs under the no-op
+  ``NULL_SPANS`` collector and the observer skips its metrics: neither
+  may show up as overhead).
+
+Timing: every repeat runs each mode of a matrix on every query, the
+modes back to back per query with the first mode rotated, and each mode
+reports the median of its per-repeat totals.  Host speed on shared
+machines flips between fast and ~1.6x slower spells of ~0.1 s; timing
+each mode as one block let a spell land on one mode only, so a single
+ratio failed on noise.  Interleaved per query, a spell hits every mode
+alike, and the median drops an outlier repeat instead of keeping a
+lucky one.  Garbage collection is paused inside each repeat, so one
+mode's allocations are not collected on another mode's clock.
 
 Results are written under the shared bench JSON schema (every leaf is a
 ``queries_per_second`` dict), so ``benchmarks/regress.py`` can gate
@@ -41,11 +55,12 @@ report and regress.py finds genuine matches in CI.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -55,7 +70,7 @@ import numpy as np
 
 from repro.core.ad import ADEngine
 from repro.core.ad_block import BlockADEngine
-from repro.obs import MetricsRegistry, SpanCollector
+from repro.obs import MetricsRegistry, Span, SpanCollector
 
 from bench_meta import run_metadata
 
@@ -81,13 +96,49 @@ _ENGINES = {
 }
 
 
-def _best_of(repeats: int, run) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _interleaved_medians(
+    repeats: int, runs: Dict[str, object], items: Sequence
+) -> Dict[str, float]:
+    """Median seconds per mode for one pass over ``items``, interleaved.
+
+    Each repeat takes the items in turn and runs every mode on the item
+    back to back, rotating which mode goes first, and sums each mode's
+    time.  A slow spell of the host therefore lands on all modes alike
+    instead of on whichever mode's block it overlapped.  The collector
+    is paused for the repeat (as ``timeit`` does), so one mode's
+    allocations are not collected on another mode's clock.
+    """
+    names = list(runs)
+    samples: Dict[str, List[float]] = {name: [] for name in names}
+    for repeat in range(repeats):
+        totals = dict.fromkeys(names, 0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            for index, item in enumerate(items):
+                shift = (repeat + index) % len(names)
+                for name in names[shift:] + names[:shift]:
+                    started = time.perf_counter()
+                    runs[name](item)
+                    totals[name] += time.perf_counter() - started
+        finally:
+            gc.enable()
+        for name in names:
+            samples[name].append(totals[name])
+    return {name: float(np.median(times)) for name, times in samples.items()}
+
+
+def _live_spans() -> int:
+    """How many :class:`Span` objects are alive (any collector's ring)."""
+    gc.collect()
+    return sum(isinstance(item, Span) for item in gc.get_objects())
+
+
+def _timings(seconds: Dict[str, float], count: int) -> Dict[str, Dict]:
+    return {
+        mode: {"seconds": value, "queries_per_second": count / value}
+        for mode, value in seconds.items()
+    }
 
 
 def bench_serve_modes(
@@ -126,9 +177,11 @@ def bench_serve_modes(
         )
 
     apps = {mode: make_app(mode) for mode in ("off", "context", "flight")}
+    alive = _live_spans()
     expected = [
         apps["off"].handle("POST", "/v1/query", body) for body in bodies
     ]
+    assert _live_spans() <= alive, "serve/off: spans recorded with none installed"
     for mode in ("context", "flight"):
         for body, (status, _, reference) in zip(bodies, expected):
             got_status, _, got = apps[mode].handle("POST", "/v1/query", body)
@@ -136,18 +189,19 @@ def bench_serve_modes(
                 f"serve/{mode}: response bytes diverged"
             )
 
-    timings: Dict[str, Dict] = {}
-    for mode, app in apps.items():
-        seconds = _best_of(
+    timings = _timings(
+        _interleaved_medians(
             repeats,
-            lambda app=app: [
-                app.handle("POST", "/v1/query", body) for body in bodies
-            ],
-        )
-        timings[mode] = {
-            "seconds": seconds,
-            "queries_per_second": len(bodies) / seconds,
-        }
+            {
+                mode: lambda body, app=app: app.handle(
+                    "POST", "/v1/query", body
+                )
+                for mode, app in apps.items()
+            },
+            bodies,
+        ),
+        len(bodies),
+    )
     off = timings["off"]["seconds"]
     for mode in ("context", "flight"):
         seconds = timings[mode]["seconds"]
@@ -183,7 +237,11 @@ def bench_config(
         spanned = factory(shared_columns, None, SpanCollector())
 
         modes = {"off": plain, "metrics": metered, "spans": spanned}
+        alive = _live_spans()
         expected = [plain.k_n_match(query, k, n) for query in queries]
+        assert _live_spans() <= alive, (
+            f"{engine_name}/off: spans recorded with none installed"
+        )
         for mode_name, engine in modes.items():
             if engine is plain:
                 continue
@@ -197,18 +255,19 @@ def bench_config(
                     f"{engine_name}/{mode_name}: differences diverged"
                 )
 
-        timings: Dict[str, Dict] = {}
-        for mode_name, engine in modes.items():
-            seconds = _best_of(
+        timings = _timings(
+            _interleaved_medians(
                 repeats,
-                lambda engine=engine: [
-                    engine.k_n_match(query, k, n) for query in queries
-                ],
-            )
-            timings[mode_name] = {
-                "seconds": seconds,
-                "queries_per_second": batch / seconds,
-            }
+                {
+                    mode_name: lambda query, engine=engine: engine.k_n_match(
+                        query, k, n
+                    )
+                    for mode_name, engine in modes.items()
+                },
+                queries,
+            ),
+            batch,
+        )
         off = timings["off"]["seconds"]
         for mode_name in ("metrics", "spans"):
             seconds = timings[mode_name]["seconds"]
@@ -240,7 +299,10 @@ def main(argv=None) -> int:
         help="first configuration only, fewer repeats, < 10 s end to end",
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed runs per mode (best kept)"
+        "--repeats",
+        type=int,
+        default=7,
+        help="interleaved timed runs per mode (median kept)",
     )
     parser.add_argument(
         "-o",
@@ -252,13 +314,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     configs: List = SMOKE_CONFIGS if args.smoke else FULL_CONFIGS
-    repeats = 2 if args.smoke else args.repeats
+    repeats = 5 if args.smoke else args.repeats
 
     report = {
         "benchmark": "bench_obs",
         "mode": "smoke" if args.smoke else "full",
         **run_metadata(backend="thread"),
         "repeats": repeats,
+        "estimator": "median of interleaved repeats",
         "results": [],
     }
     for cardinality, dimensionality, k, n, batch in configs:

@@ -28,7 +28,6 @@ exact block-AD engine, so unbudgeted answers are byte-identical to
 from __future__ import annotations
 
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,7 @@ from ..core.ad_block import BlockADEngine
 from ..core.anytime import consume_frontier
 from ..core.types import SearchStats
 from ..errors import ValidationError
-from ..obs.spans import NULL_SPANS
+from ..obs.observer import Observed
 from ..sorted_lists import SortedColumns
 from .params import (
     validate_budget,
@@ -56,7 +55,7 @@ __all__ = ["BudgetADEngine", "DEFAULT_REFINE_MULTIPLIER"]
 DEFAULT_REFINE_MULTIPLIER = 2
 
 
-class BudgetADEngine:
+class BudgetADEngine(Observed):
     """Budgeted AD search with per-query recall certificates."""
 
     name = "budget-ad"
@@ -81,22 +80,6 @@ class BudgetADEngine:
     @property
     def dimensionality(self) -> int:
         return self._columns.dimensionality
-
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     def _exact(self) -> BlockADEngine:
         # Unmetered on purpose: delegated queries are budget-ad queries,
@@ -144,31 +127,21 @@ class BudgetADEngine:
                 else int(math.ceil(target_recall * total))
             )
 
-        started = time.perf_counter()
-        if budget is None or budget >= total:
-            result = self._delegate_exact(query, k, n, budget)
-        else:
-            result = self._search(query, k, n, budget, multiplier)
-        if self._metrics is not None:
-            from ..obs import observe_approx_query
-
-            observe_approx_query(
-                self._metrics,
-                self.name,
-                "k_n_match",
-                result.stats,
-                time.perf_counter() - started,
-                d,
-                result.certified_recall,
-            )
+        delegated = budget is None or budget >= total
+        meta = dict(delegated="block-ad") if delegated else dict(budget=budget)
+        with self._observe("k_n_match", d, k=k, n=n, **meta) as q:
+            if delegated:
+                result = self._delegate_exact(query, k, n, budget)
+            else:
+                result = self._search(query, k, n, budget, multiplier, q.spans)
+            q.stats = result.stats
+            q.certified_recall = result.certified_recall
         return result
 
     # ------------------------------------------------------------------
     def _delegate_exact(self, query, k, n, budget) -> ApproxResult:
         """Unbudgeted answer: exact block-AD, certified in full."""
-        spans = self._spans or NULL_SPANS
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n, delegated="block-ad"):
-            exact = self._exact().k_n_match(query, k, n)
+        exact = self._exact().k_n_match(query, k, n)
         return ApproxResult(
             ids=list(exact.ids),
             differences=list(exact.differences),
@@ -183,84 +156,82 @@ class BudgetADEngine:
             stats=exact.stats,
         )
 
-    def _search(self, query, k, n, budget, multiplier) -> ApproxResult:
+    def _search(self, query, k, n, budget, multiplier, spans) -> ApproxResult:
         d = self._columns.dimensionality
-        spans = self._spans or NULL_SPANS
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n, budget=budget):
-            # Phase 1 (approx_filter): spend the budget on the AD frontier.
-            with spans.span("approx_filter", budget=budget):
-                frontier, appear, prefix_ids, prefix_diffs = consume_frontier(
-                    self._columns, query, k, n, budget
-                )
-                spans.annotate(
-                    attributes=int(frontier.attributes_retrieved),
-                    verified=len(prefix_ids),
-                )
-            bound = frontier.peek_difference()  # None <=> frontier exhausted
-
-            # Phase 2 (approx_rerank): exactly re-rank the most-seen
-            # partial points.  Skipped when the prefix already holds k
-            # answers.
-            chosen = np.empty(0, dtype=np.int64)
-            refined_diffs = np.empty(0, dtype=np.float64)
-            want = max(0, multiplier * k - len(prefix_ids))
-            if want and len(prefix_ids) < k:
-                partial = np.flatnonzero((appear > 0) & (appear < n))
-                if partial.size:
-                    with spans.span("approx_rerank"):
-                        order = np.lexsort((partial, -appear[partial]))
-                        counts = appear[partial][order]
-                        keep = order.size
-                        if keep > want:
-                            # Never cut inside an appearance-count tie:
-                            # the pid tie-break is arbitrary, and dropping
-                            # a tied candidate can make a *larger* budget
-                            # return a worse answer (certified recall must
-                            # be monotone in budget).
-                            cutoff = counts[want - 1]
-                            keep = int(
-                                np.searchsorted(-counts, -cutoff, side="right")
-                            )
-                        chosen = partial[order[:keep]].astype(np.int64)
-                        refined_diffs = np.partition(
-                            np.abs(self._columns.data[chosen] - query),
-                            n - 1,
-                            axis=1,
-                        )[:, n - 1]
-                        spans.annotate(candidates=int(chosen.size))
-
-            # Best k of both pools, canonical (difference, id) order.
-            all_ids = np.concatenate(
-                [np.asarray(prefix_ids, dtype=np.int64), chosen]
+        # Phase 1 (approx_filter): spend the budget on the AD frontier.
+        with spans.span("approx_filter", budget=budget):
+            frontier, appear, prefix_ids, prefix_diffs = consume_frontier(
+                self._columns, query, k, n, budget
             )
-            all_diffs = np.concatenate(
-                [np.asarray(prefix_diffs, dtype=np.float64), refined_diffs]
+            spans.annotate(
+                attributes=int(frontier.attributes_retrieved),
+                verified=len(prefix_ids),
             )
-            order = np.lexsort((all_ids, all_diffs))[:k]
-            out_ids = all_ids[order]
-            out_diffs = all_diffs[order]
+        bound = frontier.peek_difference()  # None <=> frontier exhausted
 
-            limit = np.inf if bound is None else bound
-            certified_count = int(np.count_nonzero(out_diffs <= limit))
+        # Phase 2 (approx_rerank): exactly re-rank the most-seen
+        # partial points.  Skipped when the prefix already holds k
+        # answers.
+        chosen = np.empty(0, dtype=np.int64)
+        refined_diffs = np.empty(0, dtype=np.float64)
+        want = max(0, multiplier * k - len(prefix_ids))
+        if want and len(prefix_ids) < k:
+            partial = np.flatnonzero((appear > 0) & (appear < n))
+            if partial.size:
+                with spans.span("approx_rerank"):
+                    order = np.lexsort((partial, -appear[partial]))
+                    counts = appear[partial][order]
+                    keep = order.size
+                    if keep > want:
+                        # Never cut inside an appearance-count tie:
+                        # the pid tie-break is arbitrary, and dropping
+                        # a tied candidate can make a *larger* budget
+                        # return a worse answer (certified recall must
+                        # be monotone in budget).
+                        cutoff = counts[want - 1]
+                        keep = int(
+                            np.searchsorted(-counts, -cutoff, side="right")
+                        )
+                    chosen = partial[order[:keep]].astype(np.int64)
+                    refined_diffs = np.partition(
+                        np.abs(self._columns.data[chosen] - query),
+                        n - 1,
+                        axis=1,
+                    )[:, n - 1]
+                    spans.annotate(candidates=int(chosen.size))
 
-            stats = SearchStats(
-                attributes_retrieved=frontier.attributes_retrieved
-                + int(chosen.size) * d,
-                total_attributes=self._columns.total_attributes,
-                heap_pops=frontier.pops,
-                binary_search_probes=d,
-                candidates_refined=int(chosen.size),
-            )
-            return ApproxResult(
-                ids=[int(pid) for pid in out_ids],
-                differences=[float(dif) for dif in out_diffs],
-                k=k,
-                n=n,
-                engine=self.name,
-                certified_recall=certified_count / k,
-                certified_count=certified_count,
-                unseen_lower_bound=bound,
-                exact=certified_count == k,
-                budget=budget,
-                stats=stats,
-            )
+        # Best k of both pools, canonical (difference, id) order.
+        all_ids = np.concatenate(
+            [np.asarray(prefix_ids, dtype=np.int64), chosen]
+        )
+        all_diffs = np.concatenate(
+            [np.asarray(prefix_diffs, dtype=np.float64), refined_diffs]
+        )
+        order = np.lexsort((all_ids, all_diffs))[:k]
+        out_ids = all_ids[order]
+        out_diffs = all_diffs[order]
+
+        limit = np.inf if bound is None else bound
+        certified_count = int(np.count_nonzero(out_diffs <= limit))
+
+        stats = SearchStats(
+            attributes_retrieved=frontier.attributes_retrieved
+            + int(chosen.size) * d,
+            total_attributes=self._columns.total_attributes,
+            heap_pops=frontier.pops,
+            binary_search_probes=d,
+            candidates_refined=int(chosen.size),
+        )
+        return ApproxResult(
+            ids=[int(pid) for pid in out_ids],
+            differences=[float(dif) for dif in out_diffs],
+            k=k,
+            n=n,
+            engine=self.name,
+            certified_recall=certified_count / k,
+            certified_count=certified_count,
+            unseen_lower_bound=bound,
+            exact=certified_count == k,
+            budget=budget,
+            stats=stats,
+        )

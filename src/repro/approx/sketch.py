@@ -34,7 +34,6 @@ certificate matters more than wall clock, use ``budget-ad``.
 from __future__ import annotations
 
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -43,7 +42,7 @@ from ..core import validation
 from ..core.advisor import sample_row_ids
 from ..core.types import SearchStats
 from ..errors import ValidationError
-from ..obs.spans import NULL_SPANS
+from ..obs.observer import Observed
 from ..sorted_lists import SortedColumns
 from .params import (
     multiplier_from_target_recall,
@@ -126,7 +125,7 @@ class PivotSketchIndex:
         return np.argsort(order, kind="stable").astype(np.int32)
 
 
-class PivotSketchEngine:
+class PivotSketchEngine(Observed):
     """Permutation-sketch filter + exact re-rank (see module docstring)."""
 
     name = "pivot-sketch"
@@ -162,22 +161,6 @@ class PivotSketchEngine:
     @property
     def dimensionality(self) -> int:
         return self._columns.dimensionality
-
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def index(self) -> PivotSketchIndex:
@@ -232,22 +215,10 @@ class PivotSketchEngine:
         else:
             count = min(c, DEFAULT_CANDIDATE_MULTIPLIER * k)
 
-        started = time.perf_counter()
-        spans = self._spans or NULL_SPANS
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n, candidates=count):
-            result = self._search_impl(query, k, n, count, budget, spans)
-        if self._metrics is not None:
-            from ..obs import observe_approx_query
-
-            observe_approx_query(
-                self._metrics,
-                self.name,
-                "k_n_match",
-                result.stats,
-                time.perf_counter() - started,
-                d,
-                result.certified_recall,
-            )
+        with self._observe("k_n_match", d, k=k, n=n, candidates=count) as q:
+            result = self._search_impl(query, k, n, count, budget, q.spans)
+            q.stats = result.stats
+            q.certified_recall = result.certified_recall
         return result
 
     def _search_impl(self, query, k, n, count, budget, spans) -> ApproxResult:

@@ -976,8 +976,7 @@ def _run_shard_info(args) -> int:
 def _run_query(args) -> int:
     db = _load_db(args)
     registry = _make_registry(args)
-    if registry is not None:
-        db.set_metrics(registry)
+    db.set_metrics(registry)
     query = _resolve_query(args, db)
     if args.n is not None:
         result = db.k_n_match(
@@ -1009,7 +1008,7 @@ def _run_query(args) -> int:
         _print_stats(result.stats)
     if args.trace and result.trace is not None:
         print(result.trace.summary())
-    if registry is not None:
+    if args.metrics_out is not None:
         _write_metrics(registry, args.metrics_out)
     if hasattr(db, "close"):
         db.close()
@@ -1039,8 +1038,7 @@ def _run_batch(args) -> int:
 
     db = _load_db(args)
     registry = _make_registry(args)
-    if registry is not None:
-        db.set_metrics(registry)
+    db.set_metrics(registry)
     queries = _resolve_query_batch(args, db)
     if hasattr(db, "shard_count"):
         # the coordinator owns parallelism; workers were set at load time
@@ -1096,7 +1094,7 @@ def _run_batch(args) -> int:
             f"({rate:.1f} q/s)"
         )
         _print_stats(total)
-    if registry is not None:
+    if args.metrics_out is not None:
         _write_metrics(registry, args.metrics_out)
     if hasattr(db, "close"):
         db.close()

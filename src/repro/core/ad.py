@@ -46,12 +46,11 @@ instead.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..obs.spans import NULL_SPANS
+from ..obs.observer import Observed
 from ..sorted_lists import SortedColumns
 from . import validation
 from .ad_block import candidate_mask, grow_windows
@@ -60,7 +59,7 @@ from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_freque
 __all__ = ["ADEngine"]
 
 
-class ADEngine:
+class ADEngine(Observed):
     """In-memory AD search over sorted columns.
 
     Accepts either a raw ``(c, d)`` array (sorted columns are built once
@@ -89,24 +88,6 @@ class ADEngine:
             self._columns = SortedColumns(data)
         self._metrics = metrics
         self._spans = spans
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def columns(self) -> SortedColumns:
@@ -139,32 +120,22 @@ class ADEngine:
         c, d = self._columns.cardinality, self._columns.dimensionality
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-            with spans.span("cursor_init", dimensions=d):
+        with self._observe("k_n_match", d, k=k, n=n) as q:
+            with q.spans.span("cursor_init", dimensions=d):
                 splits = self._columns.locate_all(query)
-            with spans.span("heap_consume"):
+            with q.spans.span("heap_consume"):
                 prefix = pop_prefix(self._columns, query, splits, k, n, n)
-                spans.annotate(
+                q.spans.annotate(
                     heap_pops=prefix.heap_pops,
                     attributes_retrieved=prefix.attributes_retrieved,
                 )
-        stats = self._make_stats(prefix)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = self._make_stats(prefix)
         return MatchResult(
             ids=prefix.sets[n],
             differences=prefix.differences,
             k=k,
             n=n,
-            stats=stats,
+            stats=q.stats,
         )
 
     # ------------------------------------------------------------------
@@ -191,39 +162,29 @@ class ADEngine:
             query, k, n_range, c, d
         )
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
         # the untruncated sets are every id the loop completes
         full = not truncate_answer_sets
-        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
-            with spans.span("cursor_init", dimensions=d):
+        with self._observe("frequent_k_n_match", d, k=k, n0=n0, n1=n1) as q:
+            with q.spans.span("cursor_init", dimensions=d):
                 splits = self._columns.locate_all(query)
-            with spans.span("heap_consume"):
+            with q.spans.span("heap_consume"):
                 prefix = pop_prefix(
                     self._columns, query, splits, k, n0, n1, full
                 )
-                spans.annotate(
+                q.spans.annotate(
                     heap_pops=prefix.heap_pops,
                     attributes_retrieved=prefix.attributes_retrieved,
                 )
-            with spans.span("rank"):
+            with q.spans.span("rank"):
                 chosen, frequencies = rank_by_frequency(prefix.sets, k)
-        stats = self._make_stats(prefix)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "frequent_k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = self._make_stats(prefix)
         return FrequentMatchResult(
             ids=chosen,
             frequencies=frequencies,
             k=k,
             n_range=(n0, n1),
             answer_sets=prefix.sets if keep_answer_sets else None,
-            stats=stats,
+            stats=q.stats,
         )
 
     # ------------------------------------------------------------------

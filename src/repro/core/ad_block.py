@@ -28,11 +28,11 @@ small constant factor of optimal.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs.observer import Observed
 from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from . import validation
@@ -45,7 +45,7 @@ MIN_GROWTH = 1.25
 MAX_GROWTH = 4.0
 
 
-class BlockADEngine:
+class BlockADEngine(Observed):
     """Vectorised epsilon-stepping AD search (see module docstring)."""
 
     name = "block-ad"
@@ -62,24 +62,6 @@ class BlockADEngine:
             self._columns = SortedColumns(data)
         self._metrics = metrics
         self._spans = spans
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def columns(self) -> SortedColumns:
@@ -102,25 +84,16 @@ class BlockADEngine:
         """k-n-match via windows + exact refinement of the candidates."""
         c, d = self._columns.cardinality, self._columns.dimensionality
         query, k, n = validation.validate_match_args(query, k, n, c, d)
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
+        with self._observe("k_n_match", d, k=k, n=n) as q:
             result = self._frequent_impl(query, k, n, n, keep_answer_sets=True)
-            with spans.span("finalize"):
+            with q.spans.span("finalize"):
                 ids = result.answer_sets[n]
                 data = self._columns.data
                 differences = [
                     float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
                     for pid in ids
                 ]
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "k_n_match", result.stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = result.stats
         return MatchResult(
             ids=list(ids), differences=differences, k=k, n=n, stats=result.stats
         )
@@ -137,20 +110,11 @@ class BlockADEngine:
         query, k, (n0, n1) = validation.validate_frequent_args(
             query, k, n_range, c, d
         )
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
+        with self._observe("frequent_k_n_match", d, k=k, n0=n0, n1=n1) as q:
             result = self._frequent_impl(
                 query, k, n0, n1, keep_answer_sets=keep_answer_sets
             )
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "frequent_k_n_match", result.stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = result.stats
         return result
 
     def _frequent_impl(

@@ -54,7 +54,7 @@ __all__ = ["DynamicMatchDatabase"]
 class DynamicMatchDatabase(PartitionedStore):
     """Exact k-n-match search over a mutable point set."""
 
-    label = "dynamic"
+    name = "dynamic"
 
     def __init__(
         self,

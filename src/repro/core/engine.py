@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ValidationError
+from ..obs.instrument import observe_plan_decision
 from ..obs.trace import build_query_trace
 from ..sorted_lists import SortedColumns
 from . import validation
@@ -489,17 +490,14 @@ class MatchDatabase:
 
     def _observe_plan(self, plan, cells, seconds) -> None:
         """Export one executed plan and feed its cost back into the model."""
-        if self._metrics is not None:
-            from ..obs.instrument import observe_plan_decision
-
-            observe_plan_decision(
-                self._metrics,
-                engine=plan.engine,
-                kind=plan.kind,
-                predicted_seconds=plan.predicted_seconds,
-                actual_seconds=seconds,
-                fanout=plan.fanout,
-            )
+        observe_plan_decision(
+            self._metrics,
+            engine=plan.engine,
+            kind=plan.kind,
+            predicted_seconds=plan.predicted_seconds,
+            actual_seconds=seconds,
+            fanout=plan.fanout,
+        )
         self.planner.record_actual(plan, float(cells), seconds)
 
     def _observe_plan_batch(self, plan, results, started) -> None:

@@ -14,19 +14,18 @@ deterministic tie-breaking (ascending difference, then ascending id).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.spans import NULL_SPANS
+from ..obs.observer import Observed
 from . import validation
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
 
 __all__ = ["NaiveScanEngine", "naive_k_n_match", "naive_frequent_k_n_match"]
 
 
-class NaiveScanEngine:
+class NaiveScanEngine(Observed):
     """Full-scan engine over an in-memory ``(c, d)`` array."""
 
     name = "naive-scan"
@@ -40,24 +39,6 @@ class NaiveScanEngine:
         self._data = validation.as_database_array(data)
         self._metrics = metrics
         self._spans = spans
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def data(self) -> np.ndarray:
@@ -81,32 +62,18 @@ class NaiveScanEngine:
         c, d = self._data.shape
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
+        with self._observe("k_n_match", d, k=k, n=n) as q:
             deltas = np.abs(self._data - query)
             differences = np.partition(deltas, n - 1, axis=1)[:, n - 1]
             chosen = np.lexsort((np.arange(c), differences))[:k]
-            spans.annotate(points_scanned=c)
-        stats = SearchStats(
-            attributes_retrieved=c * d,
-            total_attributes=c * d,
-            points_scanned=c,
-        )
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
+            q.spans.annotate(points_scanned=c)
+            q.stats = self._scan_stats()
         return MatchResult(
             ids=[int(i) for i in chosen],
             differences=[float(differences[i]) for i in chosen],
             k=k,
             n=n,
-            stats=stats,
+            stats=q.stats,
         )
 
     def frequent_k_n_match(
@@ -127,37 +94,32 @@ class NaiveScanEngine:
             query, k, n_range, c, d
         )
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
+        with self._observe("frequent_k_n_match", d, k=k, n0=n0, n1=n1) as q:
             profiles = np.sort(np.abs(self._data - query), axis=1)
             ids = np.arange(c)
             answer_sets: Dict[int, List[int]] = {}
             for n in range(n0, n1 + 1):
                 order = np.lexsort((ids, profiles[:, n - 1]))
                 answer_sets[n] = [int(i) for i in order[:k]]
-            with spans.span("rank"):
+            with q.spans.span("rank"):
                 chosen, frequencies = rank_by_frequency(answer_sets, k)
-        stats = SearchStats(
-            attributes_retrieved=c * d,
-            total_attributes=c * d,
-            points_scanned=c,
-        )
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "frequent_k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = self._scan_stats()
         return FrequentMatchResult(
             ids=chosen,
             frequencies=frequencies,
             k=k,
             n_range=(n0, n1),
             answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
+            stats=q.stats,
+        )
+
+    def _scan_stats(self) -> SearchStats:
+        """Every attribute of every point: the full scan's cost."""
+        c, d = self._data.shape
+        return SearchStats(
+            attributes_retrieved=c * d,
+            total_attributes=c * d,
+            points_scanned=c,
         )
 
 

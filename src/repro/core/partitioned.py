@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import EmptyDatabaseError, StorageError, ValidationError
+from ..obs.observer import Observed
 from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 from . import validation
@@ -331,17 +331,17 @@ class Memtable:
         self._pid_set = set()
 
 
-class PartitionedStore:
+class PartitionedStore(Observed):
     """Shared surface of a live point set held as segments + memtable.
 
     Subclasses own mutation and maintenance; they set ``_lock`` (an
     RLock), ``_segments``, ``_memtable``, ``_tombstones``,
     ``_dimensionality``, ``_generation``, ``_metrics`` and ``_spans``,
-    and name themselves with :attr:`label` — the ``engine`` metric label
+    and name themselves with :attr:`name` — the ``engine`` metric label
     and the prefix of the root query span.
     """
 
-    label = ""
+    name = ""
 
     # ------------------------------------------------------------------
     # introspection
@@ -361,19 +361,9 @@ class PartitionedStore:
         """
         return self._generation
 
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
     def set_metrics(self, registry) -> None:
         """Install (or remove, with ``None``) a metrics registry."""
         self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
 
     def set_spans(self, collector) -> None:
         """Install (or remove, with ``None``) a span collector."""
@@ -472,9 +462,6 @@ class PartitionedStore:
     def _search(self, query, k, n, n_range, keep_answer_sets):
         frequent = n is None
         kind = "frequent_k_n_match" if frequent else "k_n_match"
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
         with self._lock:
             cardinality = self.cardinality
             if cardinality == 0:
@@ -490,20 +477,14 @@ class PartitionedStore:
                 meta = dict(k=k, n=n0)
             query = validation.as_query_array(query, self._dimensionality)
             total = cardinality * self._dimensionality
-            with spans.span(f"{self.label}/{kind}", **meta):
+            with self._observe(kind, self._dimensionality, **meta) as q:
                 parts, stats = self._collect(query, k, n0, n1)
-                with spans.span("merge"):
+                with q.spans.span("merge"):
                     result = merge_parts(
                         parts, stats, k, (n0, n1), total, frequent,
                         keep_answer_sets,
                     )
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.label, kind, result.stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
+                q.stats = result.stats
         return result
 
     def _collect(

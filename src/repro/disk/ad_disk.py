@@ -11,14 +11,12 @@ the page counters, plus a simulated response time under a
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Tuple
-
 
 from ..core import validation
 from ..core.matchloop import run_frequent_k_n_match, run_k_n_match
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
-from ..obs.spans import NULL_SPANS
+from ..obs.observer import Observed
 from ..sorted_lists import AscendingDifferenceFrontier
 from ..storage import DEFAULT_DISK_MODEL, DiskModel, Pager, SortedColumnStore
 from .cursor import make_disk_cursors
@@ -26,7 +24,7 @@ from .cursor import make_disk_cursors
 __all__ = ["DiskADEngine"]
 
 
-class DiskADEngine:
+class DiskADEngine(Observed):
     """Frequent k-n-match over sorted columns stored page-wise on disk."""
 
     name = "disk-ad"
@@ -49,24 +47,10 @@ class DiskADEngine:
         self._spans = spans
         self._store = SortedColumnStore(data, self._pager)
 
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
+    @Observed.metrics.setter
     def metrics(self, registry) -> None:
         self._metrics = registry
         self._pager.metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def store(self) -> SortedColumnStore:
@@ -90,30 +74,22 @@ class DiskADEngine:
         c, d = self.cardinality, self.dimensionality
         query, k, n = validation.validate_match_args(query, k, n, c, d)
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
         baseline = self._io_snapshot()
-        with spans.span(f"{self.name}/k_n_match", k=k, n=n):
-            with spans.span("cursor_init", dimensions=d):
+        with self._observe("k_n_match", d, k=k, n=n) as q:
+            with q.spans.span("cursor_init", dimensions=d):
                 frontier = AscendingDifferenceFrontier(
                     make_disk_cursors(self._store, query)
                 )
-            with spans.span("heap_consume"):
+            with q.spans.span("heap_consume"):
                 ids, differences = run_k_n_match(frontier, c, k, n)
-                spans.annotate(
+                q.spans.annotate(
                     heap_pops=frontier.pops,
                     attributes_retrieved=frontier.attributes_retrieved,
                 )
-        stats = self._make_stats(frontier, baseline)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
-        return MatchResult(ids=ids, differences=differences, k=k, n=n, stats=stats)
+            q.stats = self._make_stats(frontier, baseline)
+        return MatchResult(
+            ids=ids, differences=differences, k=k, n=n, stats=q.stats
+        )
 
     def frequent_k_n_match(
         self,
@@ -128,39 +104,29 @@ class DiskADEngine:
             query, k, n_range, c, d
         )
 
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
         baseline = self._io_snapshot()
-        with spans.span(f"{self.name}/frequent_k_n_match", k=k, n0=n0, n1=n1):
-            with spans.span("cursor_init", dimensions=d):
+        with self._observe("frequent_k_n_match", d, k=k, n0=n0, n1=n1) as q:
+            with q.spans.span("cursor_init", dimensions=d):
                 frontier = AscendingDifferenceFrontier(
                     make_disk_cursors(self._store, query)
                 )
-            with spans.span("heap_consume"):
+            with q.spans.span("heap_consume"):
                 sets = run_frequent_k_n_match(frontier, c, k, n0, n1)
-                spans.annotate(
+                q.spans.annotate(
                     heap_pops=frontier.pops,
                     attributes_retrieved=frontier.attributes_retrieved,
                 )
-            with spans.span("rank"):
+            with q.spans.span("rank"):
                 answer_sets = {n: ids[:k] for n, ids in sets.items()}
                 chosen, frequencies = rank_by_frequency(answer_sets, k)
-        stats = self._make_stats(frontier, baseline)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "frequent_k_n_match", stats,
-                time.perf_counter() - started, d,
-            )
+            q.stats = self._make_stats(frontier, baseline)
         return FrequentMatchResult(
             ids=chosen,
             frequencies=frequencies,
             k=k,
             n_range=(n0, n1),
             answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
+            stats=q.stats,
         )
 
     def simulated_seconds(self, stats: SearchStats) -> float:

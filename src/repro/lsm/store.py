@@ -61,6 +61,12 @@ import numpy as np
 from ..core import validation
 from ..core.partitioned import PartitionedStore
 from ..errors import StorageError, ValidationError
+from ..obs.instrument import (
+    observe_lsm_compaction,
+    observe_lsm_flush,
+    observe_lsm_mutation,
+    update_lsm_gauges,
+)
 from ..obs.spans import NULL_SPANS
 from ..storage.fault import FaultSchedule
 from .compactor import Compactor
@@ -85,7 +91,7 @@ class LsmMatchDatabase(PartitionedStore):
     observed after :meth:`recover` was ever observable before the crash.
     """
 
-    label = "lsm"
+    name = "lsm"
 
     def __init__(
         self,
@@ -422,21 +428,17 @@ class LsmMatchDatabase(PartitionedStore):
     def insert(self, point) -> int:
         """Insert one point; returns its (stable) id.  WAL-logged first."""
         coords = validation.as_query_array(point, self._dimensionality)
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
+        started = time.perf_counter()
         with self._lock:
             with spans.span("lsm/insert"):
                 wal_bytes = self._apply_insert(coords)
             pid = self._next_pid - 1
             self._maybe_flush()
-        if registry is not None:
-            from ..obs import observe_lsm_mutation, update_lsm_gauges
-
-            observe_lsm_mutation(
-                registry, "insert", wal_bytes, time.perf_counter() - started
-            )
-            update_lsm_gauges(registry, self)
+        observe_lsm_mutation(
+            self._metrics, "insert", wal_bytes, time.perf_counter() - started
+        )
+        update_lsm_gauges(self._metrics, self)
         return pid
 
     def _apply_insert(self, coords: np.ndarray) -> int:
@@ -457,9 +459,8 @@ class LsmMatchDatabase(PartitionedStore):
 
     def delete(self, pid: int) -> None:
         """Delete a live point by id.  WAL-logged first."""
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
+        started = time.perf_counter()
         with self._lock:
             if pid not in self:
                 raise ValidationError(
@@ -468,13 +469,10 @@ class LsmMatchDatabase(PartitionedStore):
             with spans.span("lsm/delete"):
                 wal_bytes = self._apply_delete(pid)
             self._maybe_flush()
-        if registry is not None:
-            from ..obs import observe_lsm_mutation, update_lsm_gauges
-
-            observe_lsm_mutation(
-                registry, "delete", wal_bytes, time.perf_counter() - started
-            )
-            update_lsm_gauges(registry, self)
+        observe_lsm_mutation(
+            self._metrics, "delete", wal_bytes, time.perf_counter() - started
+        )
+        update_lsm_gauges(self._metrics, self)
 
     def _apply_delete(self, pid: int) -> int:
         generation = self._next_generation()
@@ -506,7 +504,6 @@ class LsmMatchDatabase(PartitionedStore):
         file from a death before the manifest write is cleaned up on
         recovery.
         """
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
         started = time.perf_counter()
         with self._lock:
@@ -514,16 +511,13 @@ class LsmMatchDatabase(PartitionedStore):
                 return False
             with spans.span("flush", rows=len(self._memtable)):
                 flushed_rows, bytes_written = self._flush_locked()
-        if registry is not None:
-            from ..obs import observe_lsm_flush, update_lsm_gauges
-
-            observe_lsm_flush(
-                registry,
-                flushed_rows,
-                bytes_written,
-                time.perf_counter() - started,
-            )
-            update_lsm_gauges(registry, self)
+        observe_lsm_flush(
+            self._metrics,
+            flushed_rows,
+            bytes_written,
+            time.perf_counter() - started,
+        )
+        update_lsm_gauges(self._metrics, self)
         if self._compactor is not None:
             self._compactor.wake()
         return True
@@ -592,7 +586,6 @@ class LsmMatchDatabase(PartitionedStore):
         drops only the snapshot's tombstones, and the swap re-derives
         which tombstones still reference a stored row.
         """
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
         with self._compact_lock:
             started = time.perf_counter()
@@ -621,19 +614,16 @@ class LsmMatchDatabase(PartitionedStore):
                 # The swap's manifest predates this record; rewrite so
                 # `repro lsm-info` sees the stats after a reopen.
                 self._write_manifest()
-        if registry is not None:
-            from ..obs import observe_lsm_compaction, update_lsm_gauges
-
-            observe_lsm_compaction(
-                registry,
-                level,
-                len(victims),
-                rows_in,
-                rows_out,
-                seconds,
-                bytes_written,
-            )
-            update_lsm_gauges(registry, self)
+        observe_lsm_compaction(
+            self._metrics,
+            level,
+            len(victims),
+            rows_in,
+            rows_out,
+            seconds,
+            bytes_written,
+        )
+        update_lsm_gauges(self._metrics, self)
         return True
 
     def _merge_level(

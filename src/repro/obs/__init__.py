@@ -16,11 +16,14 @@ accesses), so the observability layer makes those costs first-class:
   auditor: each engine's attribute cost versus the Fagin-model lower
   bound of Thm 3.2/3.3 (AD audits at ratio 1.0 on tie-free data).
 
-Instrumented components hold an optional registry and guard every
-record with ``if registry is not None`` — with no registry installed
-the entire layer costs one attribute load and branch per query, and
-answers are bit-identical either way (instrumentation only *reads* the
-stats the engines already produce).
+Instrumented components inherit one observer base
+(:mod:`repro.obs.observer`): it holds the optional registry and span
+collector, opens each query's root span and, where that span closes,
+records the query's metrics from its ``SearchStats``.  The per-event
+helpers return at once when handed ``None``, so no call site tests for
+a registry.  With nothing installed a query pays a few no-op method
+calls, and answers are bit-identical either way (instrumentation only
+*reads* the stats the engines already produce).
 
 See ``docs/observability.md`` for metric names, label conventions and
 measured overhead.

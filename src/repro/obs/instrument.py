@@ -5,12 +5,19 @@ the disk engines) records through the helpers here, so metric names and
 label conventions live in exactly one place.  See
 ``docs/observability.md`` for the full catalogue.
 
-All helpers take the registry explicitly and must only be called behind
-an ``if registry is not None`` guard — the guard at the call site is the
-whole zero-cost story; none of these functions tolerates ``None``.
+Every per-event helper takes the registry explicitly and returns at once
+when it is ``None``, so call sites import them at module level and call
+them unguarded: the "is a registry installed?" check lives here, once.
+The ``observe_serve_*`` helpers are the exception — a
+:class:`~repro.serve.ServeApp` always holds a registry.
+Per-query metrics are not called by hand at all — the observer base
+(:mod:`repro.obs.observer`) records them where a query's root span
+closes.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..core.types import SearchStats
 from .registry import (
@@ -53,7 +60,7 @@ RECALL_BUCKETS = (0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
 
 
 def observe_query(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     engine: str,
     kind: str,
     stats: SearchStats,
@@ -67,6 +74,8 @@ def observe_query(
     counters a result reports, and the engines' answers stay
     bit-identical whether or not a registry is installed.
     """
+    if registry is None:
+        return
     labels = {"engine": engine, "kind": kind}
     registry.counter(
         "repro_queries_total", "queries executed"
@@ -105,7 +114,7 @@ def observe_query(
 
 
 def observe_approx_query(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     engine: str,
     kind: str,
     stats: SearchStats,
@@ -121,6 +130,8 @@ def observe_approx_query(
     ``repro_approx_certified_recall`` histogram is the live view of how
     much certified quality the configured budgets are actually buying.
     """
+    if registry is None:
+        return
     observe_query(registry, engine, kind, stats, wall_seconds, dimensionality)
     registry.histogram(
         "repro_approx_certified_recall",
@@ -130,7 +141,7 @@ def observe_approx_query(
 
 
 def observe_batch(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     engine: str,
     queries: int,
     shard_sizes,
@@ -139,6 +150,8 @@ def observe_batch(
     wall_seconds: float,
 ) -> None:
     """Record one executor batch: shards, stragglers, worker utilisation."""
+    if registry is None:
+        return
     labels = {"engine": engine}
     registry.counter(
         "repro_batches_total", "executor batches run"
@@ -184,7 +197,7 @@ def observe_batch(
 
 
 def observe_shard_call(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     shard: str,
     engine: str,
     kind: str,
@@ -209,6 +222,8 @@ def observe_shard_call(
     is the worker's own wall time, shipped back in the result
     envelope).
     """
+    if registry is None:
+        return
     labels = {
         "shard": shard,
         "engine": engine,
@@ -307,7 +322,7 @@ def observe_serve_cache(
 
 
 def observe_plan_decision(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     engine: str,
     kind: str,
     predicted_seconds: float,
@@ -322,6 +337,8 @@ def observe_plan_decision(
     for re-calibrating a stale plan-model sidecar.  ``fanout`` is the
     shard fan-out the plan scattered to (1 on a flat database).
     """
+    if registry is None:
+        return
     labels = {"engine": engine, "kind": kind}
     registry.counter(
         "repro_plan_decisions_total",
@@ -345,9 +362,11 @@ def observe_plan_decision(
 
 
 def observe_lsm_mutation(
-    registry: MetricsRegistry, op: str, wal_bytes: int, wall_seconds: float
+    registry: Optional[MetricsRegistry], op: str, wal_bytes: int, wall_seconds: float
 ) -> None:
     """Record one LSM mutation (``op``: insert / delete) and its WAL cost."""
+    if registry is None:
+        return
     registry.counter(
         "repro_lsm_mutations_total", "LSM store mutations applied"
     ).labels(op=op).inc()
@@ -362,12 +381,14 @@ def observe_lsm_mutation(
 
 
 def observe_lsm_flush(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     rows: int,
     bytes_written: int,
     wall_seconds: float,
 ) -> None:
     """Record one memtable flush into an L0 segment."""
+    if registry is None:
+        return
     registry.counter(
         "repro_lsm_flushes_total", "memtable flushes into L0 segments"
     ).labels().inc()
@@ -385,7 +406,7 @@ def observe_lsm_flush(
 
 
 def observe_lsm_compaction(
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     level: int,
     segments_merged: int,
     rows_in: int,
@@ -400,6 +421,8 @@ def observe_lsm_compaction(
     split by the ``cause`` label, so total write amplification is one
     sum over ``repro_lsm_segment_bytes_total``.
     """
+    if registry is None:
+        return
     labels = {"level": str(level)}
     registry.counter(
         "repro_lsm_compactions_total", "level compactions completed"
@@ -421,12 +444,14 @@ def observe_lsm_compaction(
     ).labels(**labels).observe(wall_seconds)
 
 
-def update_lsm_gauges(registry: MetricsRegistry, store) -> None:
+def update_lsm_gauges(registry: Optional[MetricsRegistry], store) -> None:
     """Refresh the point-in-time LSM gauges from a store's current state.
 
     Called after mutations, flushes and compactions — cheap reads of
     counters the store already maintains.
     """
+    if registry is None:
+        return
     for entry in store.level_layout():
         registry.gauge(
             "repro_lsm_segments", "segments per LSM level"
@@ -456,15 +481,19 @@ def serve_inflight_gauge(registry: MetricsRegistry):
     ).labels()
 
 
-def observe_page_read(registry: MetricsRegistry, sequential: bool) -> None:
+def observe_page_read(registry: Optional[MetricsRegistry], sequential: bool) -> None:
     """Record one pager-level page read (called from the recorder)."""
+    if registry is None:
+        return
     registry.counter(
         "repro_pager_reads_total", "pages served by the pager"
     ).labels(pattern="sequential" if sequential else "random").inc()
 
 
-def observe_pager_fault(registry: MetricsRegistry, kind: str) -> None:
+def observe_pager_fault(registry: Optional[MetricsRegistry], kind: str) -> None:
     """Record one injected pager fault (``kind``: hard / corruption)."""
+    if registry is None:
+        return
     registry.counter(
         "repro_pager_faults_total", "injected storage faults"
     ).labels(kind=kind).inc()

@@ -16,8 +16,8 @@ Design constraints (see ``docs/observability.md``):
   registry, so unrelated series never contend.
 * **Cheap when absent.**  The instrumented code paths hold a registry
   reference that may be ``None``; nothing in this module runs in that
-  case.  The guard convention is ``if registry is not None: ...`` at the
-  call site — no no-op objects, no dynamic dispatch.
+  case.  The one ``is None`` check sits inside :mod:`repro.obs` (the
+  observer base and each per-event helper), never at a call site.
 * **Fail-fast naming.**  Re-registering a name with a different type,
   help text or bucket layout raises :class:`~repro.errors.ValidationError`
   immediately; silently divergent series are worse than a crash.

@@ -33,7 +33,6 @@ superset, so the windows only decide *how much* work is done, never
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -51,13 +50,14 @@ from ..core.types import (
     SearchStats,
     rank_by_frequency,
 )
+from ..obs.observer import Observed
 from ..obs.spans import NULL_SPANS
 from ..sorted_lists import SortedColumns
 
 __all__ = ["BatchBlockADEngine"]
 
 
-class BatchBlockADEngine:
+class BatchBlockADEngine(Observed):
     """Lock-step vectorised Block-AD over a whole query batch."""
 
     name = "batch-block-ad"
@@ -122,21 +122,7 @@ class BatchBlockADEngine:
     def dimensionality(self) -> int:
         return self._columns.dimensionality
 
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
+    @Observed.spans.setter
     def spans(self, collector) -> None:
         self._spans = collector
         self._serial.spans = collector
@@ -145,33 +131,19 @@ class BatchBlockADEngine:
     # single-query API (delegates to the serial engine, same answers)
     # ------------------------------------------------------------------
     def k_n_match(self, query, k: int, n: int) -> MatchResult:
-        registry = self._metrics
-        started = time.perf_counter() if registry is not None else 0.0
-        result = self._serial.k_n_match(query, k, n)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "k_n_match", result.stats,
-                time.perf_counter() - started, self.dimensionality,
-            )
+        with self._meter("k_n_match", self.dimensionality) as q:
+            result = self._serial.k_n_match(query, k, n)
+            q.stats = result.stats
         return result
 
     def frequent_k_n_match(
         self, query, k: int, n_range: Tuple[int, int], keep_answer_sets: bool = True
     ) -> FrequentMatchResult:
-        registry = self._metrics
-        started = time.perf_counter() if registry is not None else 0.0
-        result = self._serial.frequent_k_n_match(
-            query, k, n_range, keep_answer_sets=keep_answer_sets
-        )
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, self.name, "frequent_k_n_match", result.stats,
-                time.perf_counter() - started, self.dimensionality,
+        with self._meter("frequent_k_n_match", self.dimensionality) as q:
+            result = self._serial.frequent_k_n_match(
+                query, k, n_range, keep_answer_sets=keep_answer_sets
             )
+            q.stats = result.stats
         return result
 
     # ------------------------------------------------------------------
@@ -183,15 +155,11 @@ class BatchBlockADEngine:
         queries, k, n = validation.validate_batch_match_args(
             queries, k, n, c, d
         )
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
         data = self._columns.data
         results: List[MatchResult] = []
-        with spans.span(
-            f"{self.name}/k_n_match_batch",
-            batch=int(queries.shape[0]), k=k, n=n,
-        ):
+        with self._observe(
+            "k_n_match_batch", d, batch=int(queries.shape[0]), k=k, n=n,
+        ) as q:
             frequents = self._frequent_batch_impl(
                 queries, k, n, n, keep_answer_sets=True
             )
@@ -210,8 +178,7 @@ class BatchBlockADEngine:
                         stats=freq.stats,
                     )
                 )
-        if registry is not None:
-            self._observe_batch(registry, "k_n_match", results, started)
+            q.batch_stats = [result.stats for result in results]
         return results
 
     def frequent_k_n_match_batch(
@@ -226,38 +193,18 @@ class BatchBlockADEngine:
         queries, k, (n0, n1) = validation.validate_batch_frequent_args(
             queries, k, n_range, c, d
         )
-        registry = self._metrics
-        spans = self._spans or NULL_SPANS
-        started = time.perf_counter() if registry is not None else 0.0
-        with spans.span(
-            f"{self.name}/frequent_k_n_match_batch",
+        with self._observe(
+            "frequent_k_n_match_batch", d,
             batch=int(queries.shape[0]), k=k, n0=n0, n1=n1,
-        ):
+        ) as q:
             results = self._frequent_batch_impl(
                 queries, k, n0, n1, keep_answer_sets=keep_answer_sets
             )
-        if registry is not None:
-            self._observe_batch(
-                registry, "frequent_k_n_match", results, started
-            )
+            # Lock-step rows have no latency of their own: each query is
+            # charged the batch mean (docs/observability.md); its cost
+            # counters are its own, so totals stay exact.
+            q.batch_stats = [result.stats for result in results]
         return results
-
-    def _observe_batch(self, registry, kind, results, started: float) -> None:
-        """Record one event per batched query, amortising the wall time.
-
-        The batch runs lock-step, so individual query latencies do not
-        exist; each query is charged the batch mean (documented in
-        ``docs/observability.md``).  Cost counters come from each
-        query's own :class:`SearchStats`, so totals are exact.
-        """
-        from ..obs import observe_query
-
-        if not results:
-            return
-        share = (time.perf_counter() - started) / len(results)
-        d = self.dimensionality
-        for result in results:
-            observe_query(registry, self.name, kind, result.stats, share, d)
 
     def _frequent_batch_impl(
         self,

@@ -19,8 +19,7 @@ With a :class:`~repro.obs.MetricsRegistry` installed (``metrics=``), the
 executor additionally records shard-size and shard-latency histograms, a
 per-batch straggler ratio (slowest shard over mean shard time) and
 per-worker busy-time/utilisation — the signals needed to tune
-``workers``/``chunk_size`` on real workloads.  With no registry the
-per-shard timing is skipped entirely.
+``workers``/``chunk_size`` on real workloads.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ import numpy as np
 from ..core import validation
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats
 from ..errors import ValidationError
+from ..obs.instrument import observe_batch
+from ..obs.observer import Observed
 from ..obs.spans import NULL_SPANS
 from .stats import BatchStats
 
@@ -47,7 +48,7 @@ __all__ = ["ParallelBatchExecutor"]
 _SHARDS_PER_WORKER = 4
 
 
-class ParallelBatchExecutor:
+class ParallelBatchExecutor(Observed):
     """Shard query batches over a thread pool, results in query order."""
 
     def __init__(
@@ -105,24 +106,6 @@ class ParallelBatchExecutor:
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def last_batch_stats(self) -> Optional[BatchStats]:
@@ -200,7 +183,6 @@ class ParallelBatchExecutor:
             )
             return []
 
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
         bounds = self._shard_bounds(count)
         shards = [queries[lo:hi] for lo, hi in bounds]
@@ -212,7 +194,7 @@ class ParallelBatchExecutor:
 
         def run_one(index: int) -> Sequence:
             shard = shards[index]
-            shard_started = time.perf_counter() if registry is not None else 0.0
+            shard_started = time.perf_counter()
             # A root span on the worker thread: span stacks are
             # thread-confined, so each shard traces separately.
             shard_meta = dict(shard=index, queries=int(shard.shape[0]))
@@ -220,13 +202,12 @@ class ParallelBatchExecutor:
                 shard_meta["trace_id"] = trace_id
             with spans.span("batch_shard", **shard_meta):
                 output = run_shard(shard)
-            if registry is not None:
-                elapsed = time.perf_counter() - shard_started
-                shard_seconds[index] = elapsed
-                ident = threading.get_ident()
-                # Per-thread slot writes race only with themselves: each
-                # pool thread touches exactly its own key.
-                worker_busy[ident] = worker_busy.get(ident, 0.0) + elapsed
+            elapsed = time.perf_counter() - shard_started
+            shard_seconds[index] = elapsed
+            ident = threading.get_ident()
+            # Per-thread slot writes race only with themselves: each
+            # pool thread touches exactly its own key.
+            worker_busy[ident] = worker_busy.get(ident, 0.0) + elapsed
             return output
 
         if len(shards) == 1 or self._workers == 1:
@@ -247,18 +228,15 @@ class ParallelBatchExecutor:
             wall_time_seconds=elapsed,
             total=SearchStats.aggregate([result.stats for result in results]),
         )
-        if registry is not None:
-            from ..obs import observe_batch
-
-            observe_batch(
-                registry,
-                getattr(self._engine, "name", "unknown"),
-                count,
-                [hi - lo for lo, hi in bounds],
-                shard_seconds,
-                sorted(worker_busy.values(), reverse=True),
-                elapsed,
-            )
+        observe_batch(
+            self._metrics,
+            getattr(self._engine, "name", "unknown"),
+            count,
+            [hi - lo for lo, hi in bounds],
+            shard_seconds,
+            sorted(worker_busy.values(), reverse=True),
+            elapsed,
+        )
         return results
 
     def _shard_bounds(self, count: int) -> List[Tuple[int, int]]:

@@ -84,6 +84,10 @@ __all__ = ["ServeApp", "MatchServer"]
 
 _JSON = "application/json"
 
+#: Largest request body the HTTP shell reads.  A ``Content-Length``
+#: above it is refused with 413 before a byte of the body is read.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
 #: Endpoint label used for paths that match no route, so the metrics
 #: registry's label cardinality stays bounded no matter what clients
 #: send.
@@ -923,12 +927,41 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._dispatch("GET", b"")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            self._reject(
+                400, "bad_content_length",
+                f"Content-Length must be a non-negative integer; "
+                f"got {declared!r}",
+            )
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._reject(
+                413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+            return
         body = self.rfile.read(length) if length > 0 else b""
         self._dispatch("POST", body)
+
+    def _reject(self, status: int, error_type: str, message: str) -> None:
+        """Refuse a request without reading its body, then hang up.
+
+        The unread body would otherwise be parsed as the next request
+        on this keep-alive connection.
+        """
+        payload = protocol.canonical_json(
+            protocol.error_payload(error_type, message)
+        )
+        self.close_connection = True
+        self.send_response(status)
+        self.send_header("Content-Type", _JSON)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
 
     def _dispatch(self, method: str, body: bytes) -> None:
         status, headers, payload = self.server.app.handle(

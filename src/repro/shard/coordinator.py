@@ -32,6 +32,8 @@ from ..core.engine import MatchDatabase
 from ..core.merge import answer_set_differences, merge_parts, merge_top_k
 from ..core.types import FrequentMatchResult, MatchResult, SearchStats
 from ..errors import ValidationError
+from ..obs.instrument import observe_shard_call
+from ..obs.observer import Observed
 from ..obs.spans import NULL_SPANS, span_from_dict, stitch_worker_spans
 from ..parallel import BatchStats, ParallelBatchExecutor
 from .procpool import ShardProcessPool, _run_task
@@ -111,7 +113,7 @@ class _ShardTaskEngine:
         return self._run_shard(int(task[0]))
 
 
-class ScatterGatherCoordinator:
+class ScatterGatherCoordinator(Observed):
     """Fan queries out over shards; merge exact global answers back.
 
     Parameters
@@ -236,23 +238,6 @@ class ScatterGatherCoordinator:
                 default_engine=self._shards[0][1].default_engine,
             )
         return self._pool
-
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    @spans.setter
-    def spans(self, collector) -> None:
-        self._spans = collector
 
     @property
     def partitioner(self) -> str:
@@ -439,7 +424,6 @@ class ScatterGatherCoordinator:
             db = self._shards[position][1]
             return _ShardOutput(_run_task(db, task_kind, args))
 
-        registry = self._metrics
         spans = self._spans or NULL_SPANS
         # Captured on the request thread: pool-thread shard_call roots
         # re-attach it so cross-thread siblings stay correlated with the
@@ -448,7 +432,7 @@ class ScatterGatherCoordinator:
 
         def run(position: int) -> _ShardOutput:
             shard_index = self._shards[position][0]
-            shard_started = time.perf_counter() if registry is not None else 0.0
+            shard_started = time.perf_counter()
             # On a pool worker this opens a new root (span stacks are
             # thread-confined); inline it nests under the ``shard_fanout``
             # span of the calling thread.
@@ -459,20 +443,17 @@ class ScatterGatherCoordinator:
                 call_meta["trace_id"] = trace_id
             with spans.span("shard_call", **call_meta):
                 output = run_one(position)
-            if registry is not None:
-                from ..obs import observe_shard_call
-
-                observe_shard_call(
-                    registry,
-                    shard=str(shard_index),
-                    engine=engine_name,
-                    kind=kind,
-                    queries=output.queries,
-                    stats=output.stats,
-                    wall_seconds=time.perf_counter() - shard_started,
-                    partitioner=self._partitioner,
-                    backend="thread",
-                )
+            observe_shard_call(
+                self._metrics,
+                shard=str(shard_index),
+                engine=engine_name,
+                kind=kind,
+                queries=output.queries,
+                stats=output.stats,
+                wall_seconds=time.perf_counter() - shard_started,
+                partitioner=self._partitioner,
+                backend="thread",
+            )
             return output
 
         tasks = np.arange(len(self._shards), dtype=np.float64).reshape(-1, 1)
@@ -480,7 +461,7 @@ class ScatterGatherCoordinator:
             _ShardTaskEngine(run),
             workers=min(self._workers, len(self._shards)),
             chunk_size=1,
-            metrics=registry,
+            metrics=self._metrics,
         )
         with spans.span(
             "shard_fanout",
@@ -520,7 +501,6 @@ class ScatterGatherCoordinator:
             # Workers time their own phases only when a collector is
             # here to receive the trees.
             results = pool.run_tasks(tasks, want_spans=spans is not NULL_SPANS)
-        registry = self._metrics
         trace_id = spans.capture_context("trace_id")
         outputs: List[_ShardOutput] = []
         for position, result in enumerate(results):
@@ -550,19 +530,16 @@ class ScatterGatherCoordinator:
                     [span_from_dict(tree) for tree in result.spans],
                     result.worker_pid,
                 )
-            if registry is not None:
-                from ..obs import observe_shard_call
-
-                observe_shard_call(
-                    registry,
-                    shard=str(shard_index),
-                    engine=engine_name,
-                    kind=kind,
-                    queries=output.queries,
-                    stats=output.stats,
-                    wall_seconds=result.worker_seconds,
-                    partitioner=self._partitioner,
-                    backend="process",
-                )
+            observe_shard_call(
+                self._metrics,
+                shard=str(shard_index),
+                engine=engine_name,
+                kind=kind,
+                queries=output.queries,
+                stats=output.stats,
+                wall_seconds=result.worker_seconds,
+                partitioner=self._partitioner,
+                backend="process",
+            )
             outputs.append(output)
         return outputs

@@ -43,6 +43,7 @@ from ..core.engine import (
 from ..core.merge import merge_parts
 from ..core.types import FrequentMatchResult, MatchResult
 from ..errors import ValidationError
+from ..obs.instrument import observe_approx_query, observe_plan_decision
 from ..obs.spans import NULL_SPANS
 from ..obs.trace import build_query_trace
 from ..parallel import BatchStats
@@ -365,17 +366,14 @@ class ShardedMatchDatabase:
         seconds = time.perf_counter() - started
         count = max(1, len(results))
         cells = sum(r.stats.attributes_retrieved for r in results)
-        if self._metrics is not None:
-            from ..obs.instrument import observe_plan_decision
-
-            observe_plan_decision(
-                self._metrics,
-                engine=plan.engine,
-                kind=plan.kind,
-                predicted_seconds=plan.predicted_seconds,
-                actual_seconds=seconds / count,
-                fanout=plan.fanout,
-            )
+        observe_plan_decision(
+            self._metrics,
+            engine=plan.engine,
+            kind=plan.kind,
+            predicted_seconds=plan.predicted_seconds,
+            actual_seconds=seconds / count,
+            fanout=plan.fanout,
+        )
         # The model prices one engine call on one shard; the measured
         # retrieval spans all shards, so charge the per-shard share.
         self.planner.record_actual(
@@ -705,19 +703,15 @@ class ShardedMatchDatabase:
                 candidate_multiplier,
             )
             spans.annotate(certified_recall=round(result.certified_recall, 4))
-        seconds = time.perf_counter() - started
-        if self._metrics is not None:
-            from ..obs import observe_approx_query
-
-            observe_approx_query(
-                self._metrics,
-                resolved,
-                "k_n_match",
-                result.stats,
-                seconds,
-                self.dimensionality,
-                result.certified_recall,
-            )
+        observe_approx_query(
+            self._metrics,
+            resolved,
+            "k_n_match",
+            result.stats,
+            time.perf_counter() - started,
+            self.dimensionality,
+            result.certified_recall,
+        )
         if plan is not None:
             self._observe_plan(plan, [result], started)
             self.planner.record_recall(plan.engine, result.certified_recall)
@@ -753,20 +747,17 @@ class ShardedMatchDatabase:
             )
             for query in queries
         ]
-        if self._metrics is not None:
-            from ..obs import observe_approx_query
-
-            seconds = time.perf_counter() - started
-            for result in results:
-                observe_approx_query(
-                    self._metrics,
-                    resolved,
-                    "k_n_match",
-                    result.stats,
-                    seconds / len(results),
-                    self.dimensionality,
-                    result.certified_recall,
-                )
+        share = (time.perf_counter() - started) / max(1, len(results))
+        for result in results:
+            observe_approx_query(
+                self._metrics,
+                resolved,
+                "k_n_match",
+                result.stats,
+                share,
+                self.dimensionality,
+                result.certified_recall,
+            )
         if plan is not None and results:
             self._observe_plan(plan, results, started)
             mean_recall = sum(

@@ -14,7 +14,7 @@ protocol point (between writing a segment and swapping the manifest,
 say) and a torn write that persists only a prefix of a WAL record.
 Components that support injection hold an optional schedule and call
 :meth:`FaultSchedule.reached` at their crash points — ``None`` means no
-check at all, the same discipline as ``metrics=``.
+check at all.
 An injected crash raises :class:`InjectedCrashError`; the test then
 abandons the broken object and re-opens the store from disk, which must
 recover to a state bit-identical to the naive oracle over the durable
@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set, Tuple
 
 from ..errors import StorageError
+from ..obs.instrument import observe_pager_fault
 from .pager import Pager
 
 __all__ = ["FaultyPager", "FaultSchedule", "InjectedCrashError"]
@@ -165,7 +166,4 @@ class FaultyPager(Pager):
 
     def _fire_fault(self, kind: str) -> None:
         self.faults_fired += 1
-        if self.metrics is not None:
-            from ..obs import observe_pager_fault
-
-            observe_pager_fault(self.metrics, kind)
+        observe_pager_fault(self.metrics, kind)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import PageOverflowError, StorageError
+from ..obs.instrument import observe_page_read
 from .diskmodel import PAGE_SIZE
 
 __all__ = ["PageAccessRecorder", "Pager"]
@@ -40,8 +41,8 @@ class PageAccessRecorder:
 
     With a :class:`~repro.obs.MetricsRegistry` installed (``metrics=``),
     every counted read also increments ``repro_pager_reads_total`` with
-    a ``pattern`` label; with no registry the extra cost is one ``is
-    not None`` branch per read.
+    a ``pattern`` label; with no registry the extra cost is one call to
+    a helper that returns at once.
     """
 
     def __init__(self, metrics: Optional[object] = None) -> None:
@@ -70,10 +71,7 @@ class PageAccessRecorder:
         else:
             self.random_reads += 1
         self._last_page[stream] = page_id
-        if self.metrics is not None:
-            from ..obs import observe_page_read
-
-            observe_page_read(self.metrics, sequential)
+        observe_page_read(self.metrics, sequential)
 
     def reset(self) -> None:
         """Forget all stream positions and zero the counters."""

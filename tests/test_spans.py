@@ -7,6 +7,7 @@ and the zero-cost / bit-identical-answers contract on the instrumented
 engines.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -591,4 +592,70 @@ class TestNoSpanForks:
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if fork.search(line)
         ]
+        assert offenders == []
+
+
+def _enclosing_functions(tree):
+    """Line number -> qualified name of the innermost function around it."""
+    owners = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    for line in range(child.lineno, child.end_lineno + 1):
+                        owners[line] = name
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return owners
+
+
+class TestNoMetricsGuards:
+    """Metrics are recorded once, inside ``obs/``: no call-site guards.
+
+    Queries record through the observer base where their root span
+    closes, and every per-event helper returns at once on ``None``, so
+    nothing outside ``obs/`` tests whether a registry is installed.  The
+    allowlist names constructor defaults by file and function.
+    """
+
+    ALLOWED = {
+        # an always-present registry: serve exports /metrics regardless
+        ("serve/server.py", "ServeApp.__init__"),
+        # hand the engine's registry to a caller-supplied pager once
+        ("disk/ad_disk.py", "DiskADEngine.__init__"),
+    }
+
+    def test_no_registry_guards_in_src(self):
+        import re
+
+        import repro
+
+        guard = re.compile(
+            r"(registry|metrics) is (not )?None|perf_counter\(\) if registry"
+        )
+        root = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            if relative.startswith("obs/"):
+                continue
+            source = path.read_text()
+            lines = [
+                number
+                for number, line in enumerate(source.splitlines(), 1)
+                if guard.search(line)
+            ]
+            if not lines:
+                continue
+            owners = _enclosing_functions(ast.parse(source))
+            offenders += [
+                f"{relative}:{number}"
+                for number in lines
+                if (relative, owners.get(number)) not in self.ALLOWED
+            ]
         assert offenders == []
